@@ -6,7 +6,6 @@ F1, and reproduces the reference study's published statistics from a shipped
 score fixture.
 """
 
-from ._core import BACKEND
 from .classifiers import (
     ALGORITHMS,
     ClassifierSpec,
@@ -39,6 +38,8 @@ from .report import (
 from .stats import describe, mann_whitney_u, percent_agreement
 
 __version__ = "0.1.0"
+# The only kernel implementation; benchmark samples record it.
+BACKEND = "python"
 
 __all__ = [
     "ALGORITHMS",

@@ -1,8 +1,9 @@
-"""NumPy reference implementation of the hot kernels.
+"""NumPy kernels for the two hot loops: the SVM dual working-set solver
+(``smo_optimize``) and the decision-tree split scan (``best_split``).
 
-Must stay arithmetic-identical to ``_speedups.pyx``: same operations in the
-same order on float64, so both backends produce bit-equal outputs. Change the
-two files together or not at all.
+Both run a fixed sequence of float64 and integer operations, so the same
+input always gives bit-identical output; the reproducible F1 grid rests on
+that.
 """
 
 import numpy as np

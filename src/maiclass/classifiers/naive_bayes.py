@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import NumericalFailure
+
 
 class BernoulliNaiveBayes:
     """Presence/absence model with Laplace-style smoothing."""
@@ -147,6 +149,10 @@ class GaussianNaiveBayes:
             counts[c] = rows.shape[0]
             means[c] = rows.mean(axis=0)
             variances[c] = rows.var(axis=0) + eps
+        if np.any(variances <= 0.0):
+            raise NumericalFailure(
+                "a feature variance is 0 after smoothing; its log density "
+                "would be infinite")
         self.log_prior = np.log(counts / n)
         self.means = means
         self.variances = variances

@@ -27,6 +27,14 @@ _MODEL_OF_FLAG = {"bernoulli": "bernoulli", "plain": "plain_freq",
                   "norm": "norm_freq"}
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as a usage error
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maiclass",
@@ -47,9 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all", help="vector model (default all)")
     e.add_argument("--algo", choices=ALGORITHMS + ("all",), default="all",
                    help="classifier (default all)")
-    e.add_argument("--runs", type=int, default=5)
+    e.add_argument("--runs", type=_positive_int, default=5)
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--vocab", type=int, default=1000,
+    e.add_argument("--vocab", type=_positive_int, default=1000,
                    help="vocabulary size (default 1000)")
     e.add_argument("--out", help="write output here instead of stdout")
     e.add_argument("--format", choices=("csv", "markdown"), default="csv")

@@ -17,6 +17,7 @@ from importlib import resources
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .classifiers import ALGORITHMS
 from .errors import (
     EmptyTable,
     IncompleteRule,
@@ -25,23 +26,9 @@ from .errors import (
     ParseError,
     RangeError,
 )
+from .features import VECTOR_MODELS
 from .stats import UTestResult, describe, mann_whitney_u, percent_agreement
 
-MODELS = ("bernoulli", "plain_freq", "norm_freq")
-CLASSIFIERS = (
-    "svm_linear",
-    "svm_poly",
-    "svm_rbf",
-    "svm_sigmoid",
-    "mlp_lbfgs",
-    "mlp_adam",
-    "nb_bernoulli",
-    "nb_multinomial",
-    "nb_gaussian",
-    "logistic_regression",
-    "decision_tree",
-    "knn",
-)
 CORPORA = ("vk_ru", "t_ru", "t_en")
 MAIS = ("football", "rock", "vegetarianism")
 
@@ -109,7 +96,7 @@ class ScoreTable:
 
     def block_values(self, model: str) -> Tuple[float, ...]:
         return tuple(self.value(model, clf, corpus, mai)
-                     for clf in CLASSIFIERS
+                     for clf in ALGORITHMS
                      for corpus in CORPORA for mai in MAIS)
 
     def perfect_count(self, model: str) -> int:
@@ -128,6 +115,17 @@ def expert_agreement_path():
     return resources.files("maiclass") / "data" / "expert_agreement.csv"
 
 
+def _read_text(source, what: str) -> str:
+    """Read a packaged resource or a filesystem path as UTF-8 text."""
+    try:
+        if hasattr(source, "read_text"):
+            return source.read_text(encoding="utf-8")
+        with open(source, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {what} {source}: {exc}") from exc
+
+
 _HEADER = ("model", "classifier", "corpus", "mai", "score")
 
 
@@ -139,12 +137,7 @@ def load_scores(path=None) -> ScoreTable:
     gap surfaces as :class:`MissingCell`.
     """
     source = default_scores_path() if path is None else path
-    try:
-        text = source.read_text(encoding="utf-8") if hasattr(source, "read_text") \
-            else open(source, "r", encoding="utf-8").read()
-    except OSError as exc:
-        raise IoError(f"cannot read score fixture {source}: {exc}") from exc
-    lines = text.splitlines()
+    lines = _read_text(source, "score fixture").splitlines()
     if not lines or tuple(lines[0].split("\t")) != _HEADER:
         raise ParseError(1, "expected header "
                             "'model\\tclassifier\\tcorpus\\tmai\\tscore'")
@@ -156,9 +149,9 @@ def load_scores(path=None) -> ScoreTable:
         if len(parts) != 5:
             raise ParseError(lineno, f"expected 5 fields, got {len(parts)}")
         model, classifier, corpus, mai, raw = parts
-        if model not in MODELS:
+        if model not in VECTOR_MODELS:
             raise ParseError(lineno, f"unknown vector model {model!r}")
-        if classifier not in CLASSIFIERS:
+        if classifier not in ALGORITHMS:
             raise ParseError(lineno, f"unknown classifier {classifier!r}")
         if corpus not in CORPORA:
             raise ParseError(lineno, f"unknown corpus {corpus!r}")
@@ -177,8 +170,8 @@ def load_scores(path=None) -> ScoreTable:
         if key in cells:
             raise ParseError(lineno, f"duplicate cell {key}")
         cells[key] = score
-    for model in MODELS:
-        for clf in CLASSIFIERS:
+    for model in VECTOR_MODELS:
+        for clf in ALGORITHMS:
             for corpus in CORPORA:
                 for mai in MAIS:
                     if (model, clf, corpus, mai) not in cells:
@@ -186,14 +179,10 @@ def load_scores(path=None) -> ScoreTable:
     return ScoreTable(cells=MappingProxyType(cells))
 
 
-def load_agreement(path=None) -> List[List[int]]:
-    """Read a 0/1 expert-vote table from CSV (header row of column names)."""
+def _read_agreement(path) -> Tuple[List[str], List[List[int]]]:
+    """Column names and 0/1 vote rows of an expert-vote CSV."""
     source = expert_agreement_path() if path is None else path
-    try:
-        text = source.read_text(encoding="utf-8") if hasattr(source, "read_text") \
-            else open(source, "r", encoding="utf-8").read()
-    except OSError as exc:
-        raise IoError(f"cannot read agreement table {source}: {exc}") from exc
+    text = _read_text(source, "agreement table")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2:
         raise EmptyTable("agreement table needs a header and one vote row")
@@ -212,19 +201,17 @@ def load_agreement(path=None) -> List[List[int]]:
                 raise ParseError(lineno, f"votes must be 0 or 1, got {cell!r}")
             row.append(int(cell))
         rows.append(row)
-    return rows
+    return header, rows
+
+
+def load_agreement(path=None) -> List[List[int]]:
+    """Read a 0/1 expert-vote table from CSV (header row of column names)."""
+    return _read_agreement(path)[1]
 
 
 def agreement_columns(path=None) -> List[Tuple[str, float]]:
     """(column name, percent agreement) pairs for a vote table."""
-    source = expert_agreement_path() if path is None else path
-    try:
-        text = source.read_text(encoding="utf-8") if hasattr(source, "read_text") \
-            else open(source, "r", encoding="utf-8").read()
-    except OSError as exc:
-        raise IoError(f"cannot read agreement table {source}: {exc}") from exc
-    header = text.splitlines()[0].split(",") if text.strip() else []
-    rows = load_agreement(path)
+    header, rows = _read_agreement(path)
     return list(zip([h.strip() for h in header], percent_agreement(rows)))
 
 
@@ -240,14 +227,14 @@ class SelectionRule:
     assignments: Mapping[str, str]
 
     def __post_init__(self):
-        missing = [c for c in CLASSIFIERS if c not in self.assignments]
+        missing = [c for c in ALGORITHMS if c not in self.assignments]
         if missing:
             raise IncompleteRule(f"no variant assigned for {missing}")
         bad = {c: v for c, v in self.assignments.items()
                if v not in VARIANTS}
         if bad:
             raise IncompleteRule(f"invalid variant assignment(s) {bad}")
-        extra = [c for c in self.assignments if c not in CLASSIFIERS]
+        extra = [c for c in self.assignments if c not in ALGORITHMS]
         if extra:
             raise IncompleteRule(f"unknown classifier(s) {extra}")
 
@@ -291,9 +278,9 @@ def select_scores(table: ScoreTable, rule: Optional[SelectionRule] = None,
         out[mai] = {}
         for corpus in CORPORA:
             vals = [table.value("bernoulli", clf, corpus, mai)
-                    for clf in CLASSIFIERS]
+                    for clf in ALGORITHMS]
             vals += [table.value(rule.variant_model(clf), clf, corpus, mai)
-                     for clf in CLASSIFIERS]
+                     for clf in ALGORITHMS]
             out[mai][corpus] = tuple(vals)
     return out
 
@@ -403,12 +390,12 @@ def reproduce_stats(table: Optional[ScoreTable] = None,
         Comparison(label=f"{model} cells at 1.0",
                    computed=float(table.perfect_count(model)),
                    reference=float(REFERENCE_PERFECT_COUNTS[model]))
-        for model in MODELS)
+        for model in VECTOR_MODELS)
     block_means = tuple(
         Comparison(label=f"{model} block mean",
                    computed=table.block_mean(model),
                    reference=REFERENCE_BLOCK_MEANS[model])
-        for model in MODELS)
+        for model in VECTOR_MODELS)
 
     summaries = tuple(summarize_mai(selected, mai) for mai in MAIS)
     checks: List[Comparison] = []

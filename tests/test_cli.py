@@ -3,6 +3,8 @@
 Exit-code contract: 0 success, 1 domain error, 2 usage error.
 """
 
+import pytest
+
 from conftest import corpus_records, make_synthetic_corpus, write_jsonl
 from maiclass.cli import main
 
@@ -77,6 +79,15 @@ def test_eval_bad_model_flag(capsys, corpus_jsonl_path):
                        "--model", "bogus")
     assert code == 2
     assert "invalid choice" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--runs", "0"), ("--runs", "-1"),
+                                         ("--vocab", "0")])
+def test_eval_non_positive_count_is_usage_error(capsys, corpus_jsonl_path,
+                                                flag, value):
+    code, _, err = run(capsys, "eval", corpus_jsonl_path, flag, value)
+    assert code == 2
+    assert "positive integer" in err
 
 
 def test_unknown_subcommand(capsys):

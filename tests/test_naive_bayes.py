@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from maiclass.errors import NumericalFailure
 from maiclass.classifiers.naive_bayes import (
     BernoulliNaiveBayes,
     GaussianNaiveBayes,
@@ -83,6 +84,14 @@ def test_gaussian_handles_constant_feature():
     out = est.log_joint(X)
     assert np.all(np.isfinite(out))
     assert est.predict_codes(X).tolist() == [0, 0, 1, 1]
+
+
+def test_gaussian_all_constant_features_raise():
+    # The variance floor scales with the widest feature spread, which is 0
+    # here, so every log density would divide by zero.
+    with pytest.raises(NumericalFailure):
+        GaussianNaiveBayes().fit(np.ones((6, 3)), np.array([0, 0, 0, 1, 1, 1]),
+                                 2)
 
 
 @pytest.mark.parametrize("cls", [BernoulliNaiveBayes, MultinomialNaiveBayes,

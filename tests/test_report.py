@@ -11,12 +11,12 @@ from maiclass.errors import (
     ParseError,
     RangeError,
 )
+from maiclass.classifiers import ALGORITHMS
+from maiclass.features import VECTOR_MODELS
 from maiclass.report import (
-    CLASSIFIERS,
     CORPORA,
     MAIS,
     MATCH_TOL,
-    MODELS,
     REFERENCE_BLOCK_MEANS,
     REFERENCE_MEDIANS,
     REFERENCE_PERFECT_COUNTS,
@@ -130,7 +130,7 @@ def test_reference_row_sums(table):
 
 
 def test_perfect_counts(table):
-    for model in MODELS:
+    for model in VECTOR_MODELS:
         recount = sum(1 for key, v in table.cells.items()
                       if key[0] == model and v == 1.0)
         assert table.perfect_count(model) == recount \
@@ -138,7 +138,7 @@ def test_perfect_counts(table):
 
 
 def test_block_means(table):
-    for model in MODELS:
+    for model in VECTOR_MODELS:
         vals = table.block_values(model)
         assert len(vals) == 108
         assert abs(table.block_mean(model)
@@ -306,10 +306,10 @@ def test_packaged_agreement_table():
 
 
 def test_classifier_roster_is_fixed():
-    assert len(CLASSIFIERS) == 12
-    assert CLASSIFIERS[0] == "svm_linear"
-    assert CLASSIFIERS[-1] == "knn"
-    assert MODELS == ("bernoulli", "plain_freq", "norm_freq")
+    assert len(ALGORITHMS) == 12
+    assert ALGORITHMS[0] == "svm_linear"
+    assert ALGORITHMS[-1] == "knn"
+    assert VECTOR_MODELS == ("bernoulli", "plain_freq", "norm_freq")
     assert CORPORA == ("vk_ru", "t_ru", "t_en")
 
 
