@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -63,20 +63,25 @@ __all__ = [
     "KNeighbors",
 ]
 
-ALGORITHMS = (
-    "svm_linear",
-    "svm_poly",
-    "svm_rbf",
-    "svm_sigmoid",
-    "mlp_lbfgs",
-    "mlp_adam",
-    "nb_bernoulli",
-    "nb_multinomial",
-    "nb_gaussian",
-    "logistic_regression",
-    "decision_tree",
-    "knn",
-)
+# Algorithm id -> (estimator class, constructor arguments the id fixes).
+# Every other constructor argument is a hyperparameter a spec may override;
+# its default lives only in the estimator's ``__init__``.
+_ESTIMATORS = {
+    "svm_linear": (KernelSvm, {"kernel": "linear"}),
+    "svm_poly": (KernelSvm, {"kernel": "poly"}),
+    "svm_rbf": (KernelSvm, {"kernel": "rbf"}),
+    "svm_sigmoid": (KernelSvm, {"kernel": "sigmoid"}),
+    "mlp_lbfgs": (MlpClassifier, {"solver": "lbfgs"}),
+    "mlp_adam": (MlpClassifier, {"solver": "adam"}),
+    "nb_bernoulli": (BernoulliNaiveBayes, {}),
+    "nb_multinomial": (MultinomialNaiveBayes, {}),
+    "nb_gaussian": (GaussianNaiveBayes, {}),
+    "logistic_regression": (LogisticRegressionOVR, {}),
+    "decision_tree": (DecisionTree, {}),
+    "knn": (KNeighbors, {}),
+}
+
+ALGORITHMS = tuple(_ESTIMATORS)
 
 MODEL_FORMAT = "maiclass-model/1"
 
@@ -101,56 +106,15 @@ class TrainedModel:
     estimator: object
 
 
-def _take(hp: dict, allowed: Sequence[str]) -> dict:
-    unknown = set(hp) - set(allowed)
+def _make_estimator(spec: ClassifierSpec):
+    cls, fixed = _ESTIMATORS[spec.algorithm]
+    allowed = set(cls.init_args()) - set(fixed)
+    unknown = set(spec.hyperparams) - allowed
     if unknown:
         raise ValueError(
             f"unknown hyperparameter(s) {sorted(unknown)!r}; "
             f"expected a subset of {sorted(allowed)!r}")
-    return hp
-
-
-def _make_estimator(spec: ClassifierSpec):
-    algo = spec.algorithm
-    hp = dict(spec.hyperparams)
-    if algo.startswith("svm_"):
-        _take(hp, ("c", "tolerance", "gamma", "degree", "coef0",
-                   "max_iterations"))
-        return KernelSvm(kernel=algo[4:], c=hp.get("c", 1.0),
-                         tolerance=hp.get("tolerance", 1e-3),
-                         gamma=hp.get("gamma"),
-                         degree=hp.get("degree", 3),
-                         coef0=hp.get("coef0", 0.0),
-                         max_iterations=hp.get("max_iterations", 200_000))
-    if algo.startswith("mlp_"):
-        _take(hp, ("hidden", "alpha", "max_iterations", "learning_rate",
-                   "tolerance"))
-        return MlpClassifier(solver=algo[4:],
-                             hidden=hp.get("hidden", 100),
-                             alpha=hp.get("alpha", 1e-4),
-                             max_iterations=hp.get("max_iterations", 200),
-                             learning_rate=hp.get("learning_rate", 0.001),
-                             tolerance=hp.get("tolerance", 1e-5))
-    if algo == "nb_bernoulli":
-        _take(hp, ("alpha",))
-        return BernoulliNaiveBayes(alpha=hp.get("alpha", 1.0))
-    if algo == "nb_multinomial":
-        _take(hp, ("alpha",))
-        return MultinomialNaiveBayes(alpha=hp.get("alpha", 1.0))
-    if algo == "nb_gaussian":
-        _take(hp, ("var_smoothing",))
-        return GaussianNaiveBayes(var_smoothing=hp.get("var_smoothing", 1e-9))
-    if algo == "logistic_regression":
-        _take(hp, ("c", "max_iterations", "tolerance"))
-        return LogisticRegressionOVR(c=hp.get("c", 1.0),
-                                     max_iterations=hp.get("max_iterations",
-                                                           200),
-                                     tolerance=hp.get("tolerance", 1e-6))
-    if algo == "decision_tree":
-        _take(hp, ())
-        return DecisionTree()
-    _take(hp, ("k",))
-    return KNeighbors(k=hp.get("k", 5))
+    return cls(**fixed, **spec.hyperparams)
 
 
 def _resolve_data(data):
@@ -213,18 +177,6 @@ def predict_scores(model: TrainedModel, rows) -> np.ndarray:
         f"{model.spec.algorithm} does not produce per-class scores")
 
 
-_LOADERS = {
-    "svm": KernelSvm,
-    "mlp": MlpClassifier,
-    "nb_bernoulli": BernoulliNaiveBayes,
-    "nb_multinomial": MultinomialNaiveBayes,
-    "nb_gaussian": GaussianNaiveBayes,
-    "logistic_regression": LogisticRegressionOVR,
-    "decision_tree": DecisionTree,
-    "knn": KNeighbors,
-}
-
-
 def model_to_dict(model: TrainedModel) -> dict:
     return {
         "format": MODEL_FORMAT,
@@ -237,16 +189,31 @@ def model_to_dict(model: TrainedModel) -> dict:
 
 
 def model_from_dict(state: dict) -> TrainedModel:
+    """Rebuild a model saved by :func:`model_to_dict`.
+
+    Any malformed field, and any state that cannot predict one all-zero row
+    of the header's width into one of its classes, raises
+    :class:`ParseError`.
+    """
+    if not isinstance(state, dict):
+        raise ParseError(0, "model file is not a JSON object")
     if state.get("format") != MODEL_FORMAT:
         raise ParseError(0, f"unsupported model format {state.get('format')!r}")
-    algo = state["algorithm"]
-    spec = ClassifierSpec(algorithm=algo,
-                          hyperparams=dict(state.get("hyperparams", {})))
-    family = algo.split("_")[0] if algo.startswith(("svm_", "mlp_")) else algo
-    estimator = _LOADERS[family].from_dict(state["estimator"])
-    return TrainedModel(spec=spec, classes=tuple(state["classes"]),
-                        n_features=int(state["n_features"]),
-                        estimator=estimator)
+    try:
+        spec = ClassifierSpec(algorithm=state["algorithm"],
+                              hyperparams=dict(state.get("hyperparams", {})))
+        cls, _ = _ESTIMATORS[spec.algorithm]
+        model = TrainedModel(spec=spec, classes=tuple(state["classes"]),
+                             n_features=int(state["n_features"]),
+                             estimator=cls.from_dict(state["estimator"]))
+        code = int(model.estimator.predict_codes(
+            np.zeros((1, model.n_features)))[0])
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ParseError(0, f"malformed model file: {exc}") from exc
+    if not 0 <= code < len(model.classes):
+        raise ParseError(0, f"model predicts class code {code} but has "
+                            f"{len(model.classes)} classes")
+    return model
 
 
 def save_model(model: TrainedModel, path) -> None:
@@ -269,7 +236,4 @@ def load_model(path) -> TrainedModel:
         state = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"invalid model JSON: {exc.msg}") from exc
-    try:
-        return model_from_dict(state)
-    except (KeyError, TypeError) as exc:
-        raise ParseError(0, f"malformed model file: {exc}") from exc
+    return model_from_dict(state)

@@ -6,6 +6,7 @@ import numpy as np
 
 from ..optim import OptimizerConfig, lbfgs_minimize
 from ..errors import LineSearchFailure
+from .base import Estimator, float_array
 
 
 def _log1pexp(t: np.ndarray) -> np.ndarray:
@@ -39,10 +40,11 @@ def logistic_loss_and_grad(wb: np.ndarray, X: np.ndarray, y_pm: np.ndarray,
     return loss, grad
 
 
-class LogisticRegressionOVR:
+class LogisticRegressionOVR(Estimator):
     """One binary logistic model per class; scores are normalised sigmoids."""
 
     kind = "logistic_regression"
+    STATE = {"weights": float_array, "biases": float_array}
 
     def __init__(self, c: float = 1.0, max_iterations: int = 200,
                  tolerance: float = 1e-6):
@@ -89,20 +91,3 @@ class LogisticRegressionOVR:
     def predict_proba(self, X):
         sig = _sigmoid(self.decision(X))
         return sig / sig.sum(axis=1, keepdims=True)
-
-    def to_dict(self):
-        return {
-            "c": self.c,
-            "max_iterations": self.max_iterations,
-            "tolerance": self.tolerance,
-            "weights": self.weights.tolist(),
-            "biases": self.biases.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, state):
-        est = cls(c=state["c"], max_iterations=state["max_iterations"],
-                  tolerance=state["tolerance"])
-        est.weights = np.asarray(state["weights"], dtype=np.float64)
-        est.biases = np.asarray(state["biases"], dtype=np.float64)
-        return est

@@ -9,6 +9,7 @@ import numpy as np
 
 from ..optim import OptimizerConfig, adam_minimize, lbfgs_minimize
 from ..errors import LineSearchFailure
+from .base import Estimator, float_array
 from .naive_bayes import softmax_rows
 
 
@@ -66,8 +67,10 @@ def init_glorot(rng: np.random.Generator, d: int, hidden: int, c: int,
                            W2.ravel(), np.zeros(c)])
 
 
-class MlpClassifier:
+class MlpClassifier(Estimator):
     """100-unit ReLU hidden layer, softmax output."""
+
+    STATE = {"theta": float_array, "n_features": int, "n_classes": int}
 
     def __init__(self, solver: str = "lbfgs", hidden: int = 100,
                  alpha: float = 1e-4, max_iterations: int = 200,
@@ -137,28 +140,3 @@ class MlpClassifier:
 
     def predict_proba(self, X):
         return softmax_rows(self._logits(X))
-
-    def to_dict(self):
-        return {
-            "solver": self.solver,
-            "hidden": self.hidden,
-            "alpha": self.alpha,
-            "max_iterations": self.max_iterations,
-            "learning_rate": self.learning_rate,
-            "tolerance": self.tolerance,
-            "theta": self.theta.tolist(),
-            "n_features": self.n_features,
-            "n_classes": self.n_classes,
-        }
-
-    @classmethod
-    def from_dict(cls, state):
-        est = cls(solver=state["solver"], hidden=state["hidden"],
-                  alpha=state["alpha"],
-                  max_iterations=state["max_iterations"],
-                  learning_rate=state["learning_rate"],
-                  tolerance=state["tolerance"])
-        est.theta = np.asarray(state["theta"], dtype=np.float64)
-        est.n_features = state["n_features"]
-        est.n_classes = state["n_classes"]
-        return est

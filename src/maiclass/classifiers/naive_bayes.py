@@ -10,12 +10,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NumericalFailure
+from .base import Estimator, float_array
 
 
-class BernoulliNaiveBayes:
+class BernoulliNaiveBayes(Estimator):
     """Presence/absence model with Laplace-style smoothing."""
 
     kind = "nb_bernoulli"
+    STATE = {"log_prior": float_array, "log_theta": float_array,
+             "log_one_minus": float_array}
 
     def __init__(self, alpha: float = 1.0):
         if alpha <= 0:
@@ -50,28 +53,12 @@ class BernoulliNaiveBayes:
     def predict_codes(self, X):
         return np.argmax(self.log_joint(X), axis=1)
 
-    def to_dict(self):
-        return {
-            "alpha": self.alpha,
-            "log_prior": self.log_prior.tolist(),
-            "log_theta": self.log_theta.tolist(),
-            "log_one_minus": self.log_one_minus.tolist(),
-        }
 
-    @classmethod
-    def from_dict(cls, state):
-        est = cls(alpha=state["alpha"])
-        est.log_prior = np.asarray(state["log_prior"], dtype=np.float64)
-        est.log_theta = np.asarray(state["log_theta"], dtype=np.float64)
-        est.log_one_minus = np.asarray(state["log_one_minus"],
-                                       dtype=np.float64)
-        return est
-
-
-class MultinomialNaiveBayes:
+class MultinomialNaiveBayes(Estimator):
     """Event-count model; works on raw or normalised frequencies."""
 
     kind = "nb_multinomial"
+    STATE = {"log_prior": float_array, "log_theta": float_array}
 
     def __init__(self, alpha: float = 1.0):
         if alpha <= 0:
@@ -105,25 +92,13 @@ class MultinomialNaiveBayes:
     def predict_codes(self, X):
         return np.argmax(self.log_joint(X), axis=1)
 
-    def to_dict(self):
-        return {
-            "alpha": self.alpha,
-            "log_prior": self.log_prior.tolist(),
-            "log_theta": self.log_theta.tolist(),
-        }
 
-    @classmethod
-    def from_dict(cls, state):
-        est = cls(alpha=state["alpha"])
-        est.log_prior = np.asarray(state["log_prior"], dtype=np.float64)
-        est.log_theta = np.asarray(state["log_theta"], dtype=np.float64)
-        return est
-
-
-class GaussianNaiveBayes:
+class GaussianNaiveBayes(Estimator):
     """Per-class diagonal Gaussians with variance smoothing."""
 
     kind = "nb_gaussian"
+    STATE = {"log_prior": float_array, "means": float_array,
+             "variances": float_array}
 
     def __init__(self, var_smoothing: float = 1e-9):
         if var_smoothing < 0:
@@ -170,22 +145,6 @@ class GaussianNaiveBayes:
 
     def predict_codes(self, X):
         return np.argmax(self.log_joint(X), axis=1)
-
-    def to_dict(self):
-        return {
-            "var_smoothing": self.var_smoothing,
-            "log_prior": self.log_prior.tolist(),
-            "means": self.means.tolist(),
-            "variances": self.variances.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, state):
-        est = cls(var_smoothing=state["var_smoothing"])
-        est.log_prior = np.asarray(state["log_prior"], dtype=np.float64)
-        est.means = np.asarray(state["means"], dtype=np.float64)
-        est.variances = np.asarray(state["variances"], dtype=np.float64)
-        return est
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .base import Estimator, float_array, int_array
 
-class KNeighbors:
+
+class KNeighbors(Estimator):
     """Memorises the training matrix; all work happens at predict time.
 
     Neighbours are ranked by squared Euclidean distance with the training
@@ -14,6 +16,8 @@ class KNeighbors:
     """
 
     kind = "knn"
+    STATE = {"n_classes": int, "train_x": float_array,
+             "train_y": int_array}
 
     def __init__(self, k: int = 5):
         if k < 1:
@@ -51,19 +55,3 @@ class KNeighbors:
                                     minlength=self.n_classes),
             1, neigh)
         return np.argmax(votes, axis=1)
-
-    def to_dict(self):
-        return {
-            "k": self.k,
-            "n_classes": self.n_classes,
-            "train_x": self.train_x.tolist(),
-            "train_y": self.train_y.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, state):
-        est = cls(k=state["k"])
-        est.n_classes = state["n_classes"]
-        est.train_x = np.asarray(state["train_x"], dtype=np.float64)
-        est.train_y = np.asarray(state["train_y"], dtype=np.int64)
-        return est

@@ -8,6 +8,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..optim import smo_solve
+from .base import Estimator, float_array
 from .kernels import KernelParams, kernel_matrix
 
 
@@ -23,13 +24,31 @@ class _PairMachine:
     converged: bool
 
 
-class KernelSvm:
+def _load_machines(items) -> List[_PairMachine]:
+    machines = []
+    for m in items:
+        sv = float_array(m["sv_x"])
+        if sv.size == 0:
+            sv = sv.reshape(0, 0)
+        machines.append(_PairMachine(
+            class_a=m["class_a"], class_b=m["class_b"], sv_x=sv,
+            dual_coef=float_array(m["dual_coef"]), bias=m["bias"],
+            converged=m["converged"]))
+    return machines
+
+
+class KernelSvm(Estimator):
     """C-SVC with linear, polynomial, RBF or sigmoid kernel.
 
     Multiclass is one-vs-one: each pair (a, b) with a < b trains a binary
     machine treating a as +1. Prediction counts votes; vote ties fall back to
     summed decision values, then to the lowest class code.
+
+    ``gamma=None`` means ``1 / n_features``; once fitted, ``gamma`` reads the
+    value the fit resolved, which is what a saved model stores.
     """
+
+    STATE = {"n_classes": int, "converged": bool, "machines": _load_machines}
 
     def __init__(self, kernel: str = "linear", c: float = 1.0,
                  tolerance: float = 1e-3, gamma: Optional[float] = None,
@@ -41,10 +60,10 @@ class KernelSvm:
         self.c = c
         self.tolerance = tolerance
         self.gamma = gamma
+        self._gamma_arg = gamma
         self.degree = degree
         self.coef0 = coef0
         self.max_iterations = max_iterations
-        self.params: Optional[KernelParams] = None
         self.machines: List[_PairMachine] = []
         self.n_classes = 0
         self.converged = True
@@ -53,14 +72,20 @@ class KernelSvm:
     def kind(self):
         return f"svm_{self.kernel}"
 
+    @property
+    def params(self) -> KernelParams:
+        return KernelParams(kind=self.kernel, gamma=self.gamma,
+                            degree=self.degree, coef0=self.coef0)
+
     def fit(self, X, y, n_classes, rng=None):
         Xa = np.asarray(X, dtype=np.float64)
         y = np.asarray(y)
-        gamma = self.gamma
-        if gamma is None:
-            gamma = 1.0 / Xa.shape[1]
-        self.params = KernelParams(kind=self.kernel, gamma=gamma,
-                                   degree=self.degree, coef0=self.coef0)
+        # Resolve from the constructor's value, so a refit on data of a new
+        # width gets 1 / width rather than the previous fit's gamma.
+        self.gamma = self._gamma_arg
+        if self.gamma is None:
+            self.gamma = 1.0 / Xa.shape[1]
+        params = self.params
         self.n_classes = n_classes
         self.machines = []
         self.converged = True
@@ -69,7 +94,7 @@ class KernelSvm:
                 idx = np.nonzero((y == a) | (y == b))[0]
                 rows = Xa[idx]
                 y_pm = np.where(y[idx] == a, 1.0, -1.0)
-                K = kernel_matrix(self.params, rows)
+                K = kernel_matrix(params, rows)
                 sol = smo_solve(K, y_pm, c=self.c, tolerance=self.tolerance,
                                 max_iterations=self.max_iterations)
                 sv = np.asarray(sol.support_indices, dtype=np.intp)
@@ -116,49 +141,3 @@ class KernelSvm:
                     w = cls
             out[r] = w
         return out
-
-    def to_dict(self):
-        return {
-            "kernel": self.kernel,
-            "c": self.c,
-            "tolerance": self.tolerance,
-            "gamma": self.params.gamma if self.params else self.gamma,
-            "degree": self.degree,
-            "coef0": self.coef0,
-            "max_iterations": self.max_iterations,
-            "n_classes": self.n_classes,
-            "converged": self.converged,
-            "machines": [
-                {
-                    "class_a": m.class_a,
-                    "class_b": m.class_b,
-                    "sv_x": m.sv_x.tolist(),
-                    "dual_coef": m.dual_coef.tolist(),
-                    "bias": m.bias,
-                    "converged": m.converged,
-                }
-                for m in self.machines
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, state):
-        est = cls(kernel=state["kernel"], c=state["c"],
-                  tolerance=state["tolerance"], gamma=state["gamma"],
-                  degree=state["degree"], coef0=state["coef0"],
-                  max_iterations=state["max_iterations"])
-        est.params = KernelParams(kind=state["kernel"], gamma=state["gamma"],
-                                  degree=state["degree"],
-                                  coef0=state["coef0"])
-        est.n_classes = state["n_classes"]
-        est.converged = state["converged"]
-        est.machines = []
-        for m in state["machines"]:
-            sv = np.asarray(m["sv_x"], dtype=np.float64)
-            if sv.size == 0:
-                sv = sv.reshape(0, 0)
-            est.machines.append(_PairMachine(
-                class_a=m["class_a"], class_b=m["class_b"], sv_x=sv,
-                dual_coef=np.asarray(m["dual_coef"], dtype=np.float64),
-                bias=m["bias"], converged=m["converged"]))
-        return est

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from .. import _core
+from .base import Estimator
 
 
-class DecisionTree:
+class DecisionTree(Estimator):
     """Binary tree with axis-aligned threshold splits.
 
     Nodes are stored in parallel arrays in preorder (left subtree before
@@ -19,6 +20,8 @@ class DecisionTree:
     """
 
     kind = "decision_tree"
+    STATE = {"n_classes": int, "feature": list, "threshold": list,
+             "left": list, "right": list, "leaf_class": list}
 
     def __init__(self):
         self.feature: list = []
@@ -101,24 +104,3 @@ class DecisionTree:
                 stack.append((self.left[node], d + 1))
                 stack.append((self.right[node], d + 1))
         return best
-
-    def to_dict(self):
-        return {
-            "n_classes": self.n_classes,
-            "feature": list(self.feature),
-            "threshold": [float(t) for t in self.threshold],
-            "left": list(self.left),
-            "right": list(self.right),
-            "leaf_class": list(self.leaf_class),
-        }
-
-    @classmethod
-    def from_dict(cls, state):
-        est = cls()
-        est.n_classes = state["n_classes"]
-        est.feature = list(state["feature"])
-        est.threshold = list(state["threshold"])
-        est.left = list(state["left"])
-        est.right = list(state["right"])
-        est.leaf_class = list(state["leaf_class"])
-        return est

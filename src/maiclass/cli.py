@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("validate",
                        help="check corpus balance and tokenization")
     v.add_argument("corpus", help="JSONL corpus file")
-    v.add_argument("--per-class", type=int, default=30,
+    v.add_argument("--per-class", type=_positive_int, default=30,
                    help="expected documents per class (default 30)")
 
     e = sub.add_parser("eval", help="repeated stratified split evaluation")

@@ -165,10 +165,13 @@ class ValidationReport:
 
     @property
     def passed(self) -> bool:
-        return not self.unbalanced_classes and not self.empty_documents
+        return bool(self.per_class_counts) and not self.unbalanced_classes \
+            and not self.empty_documents
 
     def summary(self) -> str:
         lines = [f"classes: {len(self.per_class_counts)}"]
+        if not self.per_class_counts:
+            lines.append("corpus has no documents")
         for label, count in self.per_class_counts.items():
             mark = "" if count == self.expected_per_class else f"  (expected {self.expected_per_class})"
             lines.append(f"  {label}: {count}{mark}")
@@ -179,7 +182,10 @@ class ValidationReport:
 
 
 def validate_corpus(corpus: Corpus, expected_per_class: int) -> ValidationReport:
-    """Check the per-class balance constraint and flag empty-token documents."""
+    """Check the per-class balance constraint and flag empty-token documents.
+
+    A corpus with no documents fails.
+    """
     counts = corpus.per_class_counts()
     report = ValidationReport(expected_per_class=expected_per_class, per_class_counts=counts)
     report.unbalanced_classes = [

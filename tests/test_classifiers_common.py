@@ -16,6 +16,7 @@ from maiclass.classifiers import (
     save_model,
     train,
 )
+from maiclass.classifiers.svm import KernelSvm
 from maiclass.errors import (
     DegenerateLabels,
     DimensionMismatch,
@@ -143,6 +144,9 @@ def test_load_model_errors(tmp_path):
     wrong.write_text(json.dumps({"format": "other/9"}), encoding="utf-8")
     with pytest.raises(ParseError):
         load_model(wrong)
+    wrong.write_text("[]", encoding="utf-8")
+    with pytest.raises(ParseError):
+        load_model(wrong)
 
 
 def test_hyperparameter_overrides_reach_estimator():
@@ -155,3 +159,87 @@ def test_hyperparameter_overrides_reach_estimator():
                 (rows, labels))
     assert svm.estimator.params.gamma == 2.5
     assert svm.estimator.c == 0.7
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_saved_model_reloads_and_resaves_identically(algo, tmp_path):
+    rows, labels = blob_data()
+    queries = np.abs(np.random.default_rng(5).normal(1.5, 2.0, size=(30, 9)))
+    model = train(ClassifierSpec(algorithm=algo), (rows, labels), seed=3)
+    first = tmp_path / "first.json"
+    save_model(model, first)
+    clone = load_model(first)
+    assert predict(clone, queries) == predict(model, queries)
+    if algo in SCORED:
+        assert np.array_equal(predict_scores(clone, queries),
+                              predict_scores(model, queries))
+    second = tmp_path / "second.json"
+    save_model(clone, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def _set_cell(*keys_and_value):
+    """An edit that sets one nested cell of a saved model's JSON state."""
+    *keys, last, value = keys_and_value
+
+    def edit(state):
+        for key in keys:
+            state = state[key]
+        state[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("algo, edit", [
+    ("nb_bernoulli", _set_cell("algorithm", "svm_quantum")),
+    ("nb_bernoulli", _set_cell("estimator", "alpha", -1)),
+    ("nb_bernoulli", _set_cell("estimator", "log_prior", 0, "x")),
+    # State that parses but does not fit the header's width.
+    ("nb_multinomial", _set_cell("estimator", "log_theta", [[0.0]])),
+    ("knn", _set_cell("estimator", "train_x", [[1.0, 2.0]])),
+], ids=["unknown-algorithm", "bad-alpha", "bad-cell", "narrow-log-theta",
+        "narrow-train-x"])
+def test_corrupt_model_file_is_parse_error(algo, edit, tmp_path):
+    rows, labels = blob_data()
+    path = tmp_path / "model.json"
+    save_model(train(ClassifierSpec(algorithm=algo), (rows, labels)), path)
+    state = json.loads(path.read_text(encoding="utf-8"))
+    edit(state)
+    path.write_text(json.dumps(state), encoding="utf-8")
+    with pytest.raises(ParseError):
+        load_model(path)
+
+
+def test_hand_written_svm_file_loads(tmp_path):
+    # The layout save_model writes: the resolved gamma plus one machine per
+    # class pair, whose decision is k(x, (0, 0)) - k(x, (2, 2)).
+    state = {
+        "format": "maiclass-model/1",
+        "algorithm": "svm_rbf",
+        "hyperparams": {},
+        "classes": ["A", "B"],
+        "n_features": 2,
+        "estimator": {
+            "kernel": "rbf", "c": 1.0, "tolerance": 0.001, "gamma": 0.5,
+            "degree": 3, "coef0": 0.0, "max_iterations": 200000,
+            "n_classes": 2, "converged": True,
+            "machines": [{"class_a": 0, "class_b": 1,
+                          "sv_x": [[0.0, 0.0], [2.0, 2.0]],
+                          "dual_coef": [1.0, -1.0], "bias": 0.0,
+                          "converged": True}],
+        },
+    }
+    path = tmp_path / "svm.json"
+    path.write_text(json.dumps(state), encoding="utf-8")
+    model = load_model(path)
+    assert model.estimator.params.gamma == 0.5
+    assert predict(model, [[0.1, 0.1], [1.9, 2.0]]) == ["A", "B"]
+
+
+def test_svm_refit_resolves_gamma_from_new_width():
+    rng = np.random.default_rng(4)
+    y = np.repeat([0, 1], 5)
+    est = KernelSvm(kernel="rbf")
+    est.fit(rng.normal(size=(10, 3)), y, 2)
+    assert est.params.gamma == 1.0 / 3.0
+    est.fit(rng.normal(size=(10, 5)), y, 2)
+    assert est.params.gamma == 0.2

@@ -82,10 +82,12 @@ def test_eval_bad_model_flag(capsys, corpus_jsonl_path):
 
 
 @pytest.mark.parametrize("flag, value", [("--runs", "0"), ("--runs", "-1"),
-                                         ("--vocab", "0")])
+                                         ("--vocab", "0"),
+                                         ("--per-class", "0")])
 def test_eval_non_positive_count_is_usage_error(capsys, corpus_jsonl_path,
                                                 flag, value):
-    code, _, err = run(capsys, "eval", corpus_jsonl_path, flag, value)
+    command = "validate" if flag == "--per-class" else "eval"
+    code, _, err = run(capsys, command, corpus_jsonl_path, flag, value)
     assert code == 2
     assert "positive integer" in err
 

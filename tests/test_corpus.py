@@ -177,3 +177,11 @@ def test_validate_flags_empty_document():
     report = validate_corpus(Corpus("t", docs, ("a", "b")), 1)
     assert not report.passed
     assert report.empty_documents == ["e1"]
+
+
+def test_validate_fails_empty_corpus(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("", encoding="utf-8")
+    report = validate_corpus(load_corpus(str(path)), 30)
+    assert not report.passed
+    assert "FAIL" in report.summary()
