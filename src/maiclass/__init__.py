@@ -17,7 +17,13 @@ from .classifiers import (
     train,
 )
 from .corpus import Corpus, Document, load_corpus, normalize_text, validate_corpus
-from .evaluate import EvalResult, f1_scores, run_experiment, stratified_split
+from .evaluate import (
+    EvalResult,
+    f1_scores,
+    run_experiment,
+    run_grid,
+    stratified_split,
+)
 from .features import (
     VECTOR_MODELS,
     FeatureMatrix,
@@ -71,6 +77,7 @@ __all__ = [
     "render_report",
     "reproduce_stats",
     "run_experiment",
+    "run_grid",
     "save_model",
     "select_scores",
     "stratified_split",

@@ -191,7 +191,8 @@ def model_to_dict(model: TrainedModel) -> dict:
 def model_from_dict(state: dict) -> TrainedModel:
     """Rebuild a model saved by :func:`model_to_dict`.
 
-    Any malformed field, and any state that cannot predict one all-zero row
+    Any malformed field, an estimator whose class count differs from the
+    header's class list, and any state that cannot predict one all-zero row
     of the header's width into one of its classes, raises
     :class:`ParseError`.
     """
@@ -206,6 +207,10 @@ def model_from_dict(state: dict) -> TrainedModel:
         model = TrainedModel(spec=spec, classes=tuple(state["classes"]),
                              n_features=int(state["n_features"]),
                              estimator=cls.from_dict(state["estimator"]))
+        n_classes = int(model.estimator.n_classes)
+        if n_classes != len(model.classes):
+            raise ParseError(0, f"estimator has {n_classes} classes but the "
+                                f"file lists {len(model.classes)}")
         code = int(model.estimator.predict_codes(
             np.zeros((1, model.n_features)))[0])
     except (KeyError, TypeError, ValueError, IndexError) as exc:

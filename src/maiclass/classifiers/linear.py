@@ -56,6 +56,10 @@ class LogisticRegressionOVR(Estimator):
         self.weights = None
         self.biases = None
 
+    @property
+    def n_classes(self) -> int:
+        return len(self.biases)
+
     def fit(self, X, y, n_classes, rng=None):
         Xa = np.asarray(X, dtype=np.float64)
         y = np.asarray(y)

@@ -7,7 +7,12 @@ from typing import Tuple
 
 import numpy as np
 
-from ..optim import OptimizerConfig, adam_minimize, lbfgs_minimize
+from ..optim import (
+    OptimizerConfig,
+    adam_minimize,
+    lbfgs_minimize,
+    split_oracle,
+)
 from ..errors import LineSearchFailure
 from .base import Estimator, float_array
 from .naive_bayes import softmax_rows
@@ -120,8 +125,8 @@ class MlpClassifier(Estimator):
             cfg = OptimizerConfig(max_iterations=self.max_iterations,
                                   tolerance=self.tolerance,
                                   learning_rate=self.learning_rate)
-            res = adam_minimize(lambda t: oracle(t)[1], theta0, cfg,
-                                objective=lambda t: oracle(t)[0])
+            objective, gradient = split_oracle(oracle)
+            res = adam_minimize(gradient, theta0, cfg, objective=objective)
             theta = res.x
         self.theta = theta
         self.n_features = d

@@ -13,7 +13,18 @@ from ..errors import NumericalFailure
 from .base import Estimator, float_array
 
 
-class BernoulliNaiveBayes(Estimator):
+class _NaiveBayes(Estimator):
+    """What the three models share: argmax of ``log_joint`` over classes."""
+
+    @property
+    def n_classes(self) -> int:
+        return len(self.log_prior)
+
+    def predict_codes(self, X):
+        return np.argmax(self.log_joint(X), axis=1)
+
+
+class BernoulliNaiveBayes(_NaiveBayes):
     """Presence/absence model with Laplace-style smoothing."""
 
     kind = "nb_bernoulli"
@@ -50,11 +61,8 @@ class BernoulliNaiveBayes(Estimator):
         return self.log_prior + base \
             + Xb @ (self.log_theta - self.log_one_minus).T
 
-    def predict_codes(self, X):
-        return np.argmax(self.log_joint(X), axis=1)
 
-
-class MultinomialNaiveBayes(Estimator):
+class MultinomialNaiveBayes(_NaiveBayes):
     """Event-count model; works on raw or normalised frequencies."""
 
     kind = "nb_multinomial"
@@ -89,11 +97,8 @@ class MultinomialNaiveBayes(Estimator):
         Xa = np.asarray(X, dtype=np.float64)
         return self.log_prior + Xa @ self.log_theta.T
 
-    def predict_codes(self, X):
-        return np.argmax(self.log_joint(X), axis=1)
 
-
-class GaussianNaiveBayes(Estimator):
+class GaussianNaiveBayes(_NaiveBayes):
     """Per-class diagonal Gaussians with variance smoothing."""
 
     kind = "nb_gaussian"
@@ -133,6 +138,13 @@ class GaussianNaiveBayes(Estimator):
         self.variances = variances
         return self
 
+    @classmethod
+    def from_dict(cls, state: dict):
+        est = super().from_dict(state)
+        if not np.all(np.isfinite(est.variances) & (est.variances > 0.0)):
+            raise ValueError("variances must be finite and > 0")
+        return est
+
     def log_joint(self, X):
         Xa = np.asarray(X, dtype=np.float64)
         out = np.empty((Xa.shape[0], self.means.shape[0]))
@@ -142,9 +154,6 @@ class GaussianNaiveBayes(Estimator):
                 np.log(2.0 * np.pi * self.variances[c])
                 + diff * diff / self.variances[c], axis=1)
         return out
-
-    def predict_codes(self, X):
-        return np.argmax(self.log_joint(X), axis=1)
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -31,7 +32,8 @@ def _load_machines(items) -> List[_PairMachine]:
         if sv.size == 0:
             sv = sv.reshape(0, 0)
         machines.append(_PairMachine(
-            class_a=m["class_a"], class_b=m["class_b"], sv_x=sv,
+            class_a=operator.index(m["class_a"]),
+            class_b=operator.index(m["class_b"]), sv_x=sv,
             dual_coef=float_array(m["dual_coef"]), bias=m["bias"],
             converged=m["converged"]))
     return machines
@@ -106,6 +108,16 @@ class KernelSvm(Estimator):
                 if not sol.converged:
                     self.converged = False
         return self
+
+    @classmethod
+    def from_dict(cls, state: dict):
+        svm = super().from_dict(state)
+        for mach in svm.machines:
+            if not 0 <= mach.class_a < mach.class_b < svm.n_classes:
+                raise ValueError(
+                    f"machine for classes ({mach.class_a}, {mach.class_b}) "
+                    f"does not fit {svm.n_classes} classes")
+        return svm
 
     def decision_pairs(self, X) -> np.ndarray:
         """Decision value of every pair machine; shape (n, n_pairs)."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .. import _core
@@ -66,6 +68,30 @@ class DecisionTree(Estimator):
             stack.append((idx[~go_left], node, False))
             stack.append((idx[go_left], node, True))
         return self
+
+    @classmethod
+    def from_dict(cls, state: dict):
+        """Load a saved tree; every child must come after its parent.
+
+        A fitted tree always satisfies that, and it is what makes
+        ``predict_codes`` reach a leaf: a child pointing back to an ancestor
+        would loop forever.
+        """
+        tree = super().from_dict(state)
+        n = tree.n_nodes
+        if n == 0 or any(len(part) != n for part in (
+                tree.threshold, tree.left, tree.right, tree.leaf_class)):
+            raise ValueError("tree arrays must be non-empty and equally long")
+        for i in range(n):
+            if operator.index(tree.feature[i]) >= 0:
+                if not (i < operator.index(tree.left[i]) < n
+                        and i < operator.index(tree.right[i]) < n):
+                    raise ValueError(f"node {i} has a child outside "
+                                     f"({i}, {n})")
+            elif not 0 <= operator.index(tree.leaf_class[i]) < tree.n_classes:
+                raise ValueError(f"leaf {i} predicts class "
+                                 f"{tree.leaf_class[i]} of {tree.n_classes}")
+        return tree
 
     def _new_node(self):
         self.feature.append(-1)

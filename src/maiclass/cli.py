@@ -13,7 +13,7 @@ from typing import List, Optional
 from .classifiers import ALGORITHMS, ClassifierSpec
 from .corpus import load_corpus, validate_corpus
 from .errors import IoError, MaiclassError, ParseError
-from .evaluate import run_experiment, results_to_csv
+from .evaluate import results_to_csv, run_grid
 from .report import (
     agreement_columns,
     default_selection_rule,
@@ -128,13 +128,10 @@ def _cmd_eval(args) -> int:
     models = [_MODEL_OF_FLAG[args.model]] if args.model != "all" \
         else list(_MODEL_OF_FLAG.values())
     algos = [args.algo] if args.algo != "all" else list(ALGORITHMS)
-    results = []
-    for model in models:
-        for algo in algos:
-            results.append(run_experiment(
-                corpus, model, ClassifierSpec(algorithm=algo),
-                runs=args.runs, vocab_size=args.vocab,
-                master_seed=args.seed))
+    results = run_grid(corpus, models,
+                       [ClassifierSpec(algorithm=algo) for algo in algos],
+                       runs=args.runs, vocab_size=args.vocab,
+                       master_seed=args.seed)
     if args.format == "csv":
         text = results_to_csv(results)
     else:

@@ -118,36 +118,55 @@ def run_seeds(master_seed: int, run: int) -> Tuple[int, int]:
     return int(a), int(b)
 
 
-def run_experiment(corpus: Corpus, vector_model: str, spec: ClassifierSpec,
-                   runs: int = 5, vocab_size: int = 1000,
-                   master_seed: int = 0) -> EvalResult:
-    """Repeat split/vocabulary/train/score ``runs`` times and collect F1.
+def run_grid(corpus: Corpus, vector_models: Sequence[str],
+             specs: Sequence[ClassifierSpec], runs: int = 5,
+             vocab_size: int = 1000, master_seed: int = 0,
+             ) -> List[EvalResult]:
+    """Score every (vector model, classifier) cell over the same ``runs`` runs.
 
-    The vocabulary is rebuilt from each run's training half only, so no test
-    token information leaks into the features. Failures inside a run are
-    re-raised as :class:`RunFailure` carrying the run index.
+    Run ``r`` draws its split and training seed from
+    ``run_seeds(master_seed, r)``, so all cells see the same splits (the
+    paired design the U tests rely on). Each run builds its split,
+    vocabulary and gold labels once, and each (run, vector model) its two
+    matrices once; the vocabulary comes from the run's training half only,
+    so no test token information leaks into the features. Results come back
+    model-major, classifier-minor. A failure inside a run is re-raised as
+    :class:`RunFailure` carrying the run index.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    results: List[F1Result] = []
+    scores: List[List[List[F1Result]]] = [[[] for _ in specs]
+                                          for _ in vector_models]
     for r in range(runs):
         split_seed, train_seed = run_seeds(master_seed, r)
         try:
             plan = stratified_split(corpus, split_seed)
             train_docs = [corpus.documents[i] for i in plan.train_indices]
             test_docs = [corpus.documents[i] for i in plan.test_indices]
+            gold = [d.label for d in test_docs]
             vocab = build_vocabulary(train_docs, vocab_size)
-            train_m = build_matrix(train_docs, vocab, vector_model)
-            test_m = build_matrix(test_docs, vocab, vector_model)
-            model = train(spec, train_m, seed=train_seed)
-            predicted = predict(model, test_m.rows)
-            results.append(f1_scores([d.label for d in test_docs], predicted,
-                                     corpus.classes))
+            for model_scores, vector_model in zip(scores, vector_models):
+                train_m = build_matrix(train_docs, vocab, vector_model)
+                test_m = build_matrix(test_docs, vocab, vector_model)
+                for cell, spec in zip(model_scores, specs):
+                    model = train(spec, train_m, seed=train_seed)
+                    predicted = predict(model, test_m.rows)
+                    cell.append(f1_scores(gold, predicted, corpus.classes))
         except MaiclassError as exc:
             raise RunFailure(r, exc) from exc
-    return EvalResult(algorithm=spec.algorithm, vector_model=vector_model,
-                      classes=tuple(corpus.classes), runs=tuple(results),
-                      master_seed=master_seed)
+    return [EvalResult(algorithm=spec.algorithm, vector_model=vector_model,
+                       classes=tuple(corpus.classes), runs=tuple(cell),
+                       master_seed=master_seed)
+            for model_scores, vector_model in zip(scores, vector_models)
+            for cell, spec in zip(model_scores, specs)]
+
+
+def run_experiment(corpus: Corpus, vector_model: str, spec: ClassifierSpec,
+                   runs: int = 5, vocab_size: int = 1000,
+                   master_seed: int = 0) -> EvalResult:
+    """One cell of :func:`run_grid`: ``spec`` under ``vector_model``."""
+    return run_grid(corpus, [vector_model], [spec], runs=runs,
+                    vocab_size=vocab_size, master_seed=master_seed)[0]
 
 
 def results_to_csv(results: Sequence[EvalResult]) -> str:

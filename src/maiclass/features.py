@@ -54,25 +54,34 @@ def build_vocabulary(docs: Sequence[Document], k: int) -> Vocabulary:
     return Vocabulary(tokens=tuple(tok for tok, _ in top), counts=dict(top))
 
 
-def vectorize(tokens: Iterable[str], vocab: Vocabulary, model: str) -> np.ndarray:
-    """Map a token sequence to a vector of length ``vocab.size``."""
+def _vectorize_rows(token_seqs: Sequence[Sequence[str]], vocab: Vocabulary,
+                    model: str) -> np.ndarray:
+    """One row per token sequence, all looked up in one keyword index."""
     if model not in VECTOR_MODELS:
         raise ValueError(f"unknown vector model {model!r}")
     if vocab.size == 0:
         raise ValueError("vocabulary is empty")
-    tokens = list(tokens)
     index = vocab.index()
-    vec = np.zeros(vocab.size, dtype=np.float64)
-    for tok in tokens:
-        pos = index.get(tok)
-        if pos is not None:
-            vec[pos] += 1.0
+    rows = np.zeros((len(token_seqs), vocab.size), dtype=np.float64)
+    for r, tokens in enumerate(token_seqs):
+        hits = [pos for pos in map(index.get, tokens) if pos is not None]
+        rows[r] = np.bincount(np.array(hits, dtype=np.intp),
+                              minlength=vocab.size)
     if model == "bernoulli":
-        return (vec > 0).astype(np.float64)
-    if model == "norm_freq":
-        total = len(tokens)
-        return vec / total if total else vec
-    return vec
+        # Counts are non-negative integers, so this is (count > 0) as 0/1.
+        np.minimum(rows, 1.0, out=rows)
+    elif model == "norm_freq":
+        totals = np.array([len(tokens) for tokens in token_seqs],
+                          dtype=np.float64)
+        # A document without tokens has an all-zero row; dividing it by 1
+        # leaves it as it is.
+        rows /= np.maximum(totals, 1.0)[:, None]
+    return rows
+
+
+def vectorize(tokens: Iterable[str], vocab: Vocabulary, model: str) -> np.ndarray:
+    """Map a token sequence to a vector of length ``vocab.size``."""
+    return _vectorize_rows([list(tokens)], vocab, model)[0]
 
 
 @dataclass(frozen=True)
@@ -97,7 +106,7 @@ def build_matrix(docs: Sequence[Document], vocab: Vocabulary, model: str) -> Fea
     """Vectorize every document under ``model``, preserving order."""
     if not docs:
         raise EmptyCorpus("no documents to vectorize")
-    rows = np.vstack([vectorize(doc.tokens, vocab, model) for doc in docs])
+    rows = _vectorize_rows([doc.tokens for doc in docs], vocab, model)
     return FeatureMatrix(
         model=model, vocab=vocab, rows=rows, labels=tuple(doc.label for doc in docs)
     )

@@ -224,6 +224,27 @@ def _two_loop(g, s_hist, y_hist, rho_hist) -> np.ndarray:
     return q
 
 
+def split_oracle(oracle: Oracle) -> Tuple[Callable[[np.ndarray], float],
+                                          Callable[[np.ndarray], np.ndarray]]:
+    """Split a ``(value, gradient)`` oracle into ``(objective, gradient)``.
+
+    The two callbacks share a one-point cache of ``(x, value, gradient)``:
+    a call at the point last evaluated returns the cached result, any other
+    point calls ``oracle`` once and replaces the cache. Adam asks for the
+    objective at the end of one step and the gradient at the start of the
+    next, at the same point, so each step costs one oracle call.
+    """
+    cache: list = []
+
+    def evaluate(x: np.ndarray) -> Tuple[float, np.ndarray]:
+        if not cache or not np.array_equal(cache[0], x):
+            f, g = oracle(x)
+            cache[:] = [np.array(x, copy=True), f, g]
+        return cache[1], cache[2]
+
+    return (lambda x: evaluate(x)[0]), (lambda x: evaluate(x)[1])
+
+
 def adam_minimize(gradient: Callable[[np.ndarray], np.ndarray], x0,
                   config: Optional[OptimizerConfig] = None,
                   objective: Optional[Callable[[np.ndarray], float]] = None,

@@ -8,7 +8,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import EmptySample, EmptyTable, LengthMismatch
+from .errors import EmptySample, EmptyTable, LengthMismatch, Unsupported
 
 
 @dataclass(frozen=True)
@@ -63,25 +63,17 @@ def _exact_bigu_tail(n1: int, n2: int, bigu: float) -> float:
     """
     n = n1 + n2
     max_sum = n1 * n + 1
-    # ways[s] = number of n1-subsets of {1..considered} summing to s.
-    ways = [[0] * max_sum for _ in range(n1 + 1)]
-    ways[0][0] = 1
+    # ways[k, s] = number of k-subsets of {1..considered} summing to s. The
+    # object dtype keeps Python ints, so the counts stay exact.
+    ways = np.zeros((n1 + 1, max_sum), dtype=object)
+    ways[0, 0] = 1
     for value in range(1, n + 1):
+        # Descending k reads row k - 1 before this value is added to it.
         for k in range(min(value, n1), 0, -1):
-            row = ways[k]
-            prev = ways[k - 1]
-            for s in range(max_sum - 1, value - 1, -1):
-                if prev[s - value]:
-                    row[s] += prev[s - value]
-    total = math.comb(n, n1)
-    offset = n1 * (n1 + 1) // 2
-    count = 0
-    for s in range(max_sum):
-        if ways[n1][s]:
-            u1 = s - offset
-            if max(u1, n1 * n2 - u1) >= bigu:
-                count += ways[n1][s]
-    return count / total
+            ways[k, value:] += ways[k - 1, :max_sum - value]
+    u1 = np.arange(max_sum) - n1 * (n1 + 1) // 2
+    in_tail = np.maximum(u1, n1 * n2 - u1) >= bigu
+    return sum(ways[n1, in_tail]) / math.comb(n, n1)
 
 
 def mann_whitney_u(x: Sequence[float], y: Sequence[float],
@@ -91,9 +83,10 @@ def mann_whitney_u(x: Sequence[float], y: Sequence[float],
 
     ``method`` is ``"normal"`` (tie-corrected normal approximation,
     optionally with the 0.5 continuity correction), ``"exact"``
-    (enumeration of the tie-free null, only valid without ties), or
-    ``"auto"`` which picks the exact path for tie-free samples with
-    ``n1, n2 <= 8`` and the normal approximation otherwise.
+    (enumeration of the tie-free null; raises :class:`Unsupported` when the
+    samples have ties), or ``"auto"`` which picks the exact path for
+    tie-free samples with ``n1, n2 <= 8`` and the normal approximation
+    otherwise.
     """
     xa = np.asarray(list(x), dtype=np.float64)
     ya = np.asarray(list(y), dtype=np.float64)
@@ -113,7 +106,7 @@ def mann_whitney_u(x: Sequence[float], y: Sequence[float],
     use_exact = method == "exact" or (
         method == "auto" and tie_groups == 0 and n1 <= 8 and n2 <= 8)
     if use_exact and tie_groups > 0:
-        raise ValueError("exact method requires tie-free samples")
+        raise Unsupported("exact method requires tie-free samples")
 
     n = n1 + n2
     var = n1 * n2 / 12.0 * ((n + 1) - correction / (n * (n - 1))) \

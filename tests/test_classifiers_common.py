@@ -189,6 +189,15 @@ def _set_cell(*keys_and_value):
     return edit
 
 
+def _set_last_leaf_class(value):
+    """Edit the rightmost leaf, which an all-zero row never reaches."""
+    def edit(state):
+        tree = state["estimator"]
+        assert tree["feature"][-1] == -1
+        tree["leaf_class"][-1] = value
+    return edit
+
+
 @pytest.mark.parametrize("algo, edit", [
     ("nb_bernoulli", _set_cell("algorithm", "svm_quantum")),
     ("nb_bernoulli", _set_cell("estimator", "alpha", -1)),
@@ -196,8 +205,18 @@ def _set_cell(*keys_and_value):
     # State that parses but does not fit the header's width.
     ("nb_multinomial", _set_cell("estimator", "log_theta", [[0.0]])),
     ("knn", _set_cell("estimator", "train_x", [[1.0, 2.0]])),
+    # A child pointing back to the root would make predict loop forever.
+    ("decision_tree", _set_cell("estimator", "left", 0, 0)),
+    ("decision_tree", _set_last_leaf_class(3)),
+    # State whose class count disagrees with the header's class list.
+    ("svm_rbf", _set_cell("classes", ["alpha", "beta"])),
+    ("nb_bernoulli", _set_cell("classes", ["alpha", "beta"])),
+    ("svm_rbf", _set_cell("estimator", "machines", 0, "class_a", None)),
+    ("nb_gaussian", _set_cell("estimator", "variances", 0, 0, -1.0)),
 ], ids=["unknown-algorithm", "bad-alpha", "bad-cell", "narrow-log-theta",
-        "narrow-train-x"])
+        "narrow-train-x", "tree-child-loop", "tree-leaf-class",
+        "svm-short-classes", "nb-short-classes", "svm-null-class",
+        "negative-variance"])
 def test_corrupt_model_file_is_parse_error(algo, edit, tmp_path):
     rows, labels = blob_data()
     path = tmp_path / "model.json"

@@ -126,6 +126,17 @@ def test_utest_forced_normal(capsys, tmp_path):
     assert "continuity=off" in out
 
 
+def test_utest_exact_on_tied_samples_is_domain_error(capsys, tmp_path):
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text("1 2 2\n", encoding="utf-8")
+    b.write_text("3 4\n", encoding="utf-8")
+    code, out, err = run(capsys, "utest", str(a), str(b), "--method", "exact")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: Unsupported")
+
+
 def test_utest_empty_sample(capsys, tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from maiclass.classifiers import ClassifierSpec
+from maiclass import evaluate
+from maiclass.classifiers import ALGORITHMS, ClassifierSpec
 from maiclass.corpus import Corpus, Document
 from maiclass.errors import ClassTooSmall, LengthMismatch, RunFailure
 from maiclass.evaluate import (
@@ -13,9 +14,11 @@ from maiclass.evaluate import (
     f1_scores,
     results_to_csv,
     run_experiment,
+    run_grid,
     run_seeds,
     stratified_split,
 )
+from maiclass.features import VECTOR_MODELS
 
 from conftest import make_synthetic_corpus
 
@@ -179,3 +182,23 @@ def test_small_vocabulary_still_evaluates(synthetic_corpus):
     assert len(res.runs) == 1
     for score in res.runs[0].per_class.values():
         assert 0.0 <= score <= 1.0
+
+
+def test_run_grid_matches_per_cell_experiments(monkeypatch):
+    corpus = make_synthetic_corpus(docs_per_class=8)
+    specs = [ClassifierSpec(algorithm=algo) for algo in ALGORITHMS]
+    per_cell = [run_experiment(corpus, model, spec, runs=2, master_seed=3)
+                for model in VECTOR_MODELS for spec in specs]
+    calls = []
+    build_matrix = evaluate.build_matrix
+
+    def counted(docs, vocab, model):
+        calls.append(model)
+        return build_matrix(docs, vocab, model)
+
+    monkeypatch.setattr(evaluate, "build_matrix", counted)
+    grid = run_grid(corpus, VECTOR_MODELS, specs, runs=2, master_seed=3)
+    assert results_to_csv(grid) == results_to_csv(per_cell)
+    assert grid == per_cell
+    # Two matrices per (run, vector model), shared by every classifier.
+    assert len(calls) == 2 * 2 * len(VECTOR_MODELS)

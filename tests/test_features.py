@@ -148,5 +148,33 @@ def test_vocabulary_invariant_under_doc_order(all_tokens, rnd):
     assert build_vocabulary(docs, 4) == build_vocabulary(shuffled, 4)
 
 
+def reference_row(tokens, vocab, model):
+    """Per-token counting loop, the way a document vector is defined."""
+    index = {tok: i for i, tok in enumerate(vocab.tokens)}
+    vec = np.zeros(vocab.size)
+    for tok in tokens:
+        if tok in index:
+            vec[index[tok]] += 1.0
+    if model == "bernoulli":
+        return (vec > 0).astype(np.float64)
+    if model == "norm_freq" and tokens:
+        return vec / len(tokens)
+    return vec
+
+
+@given(st.lists(_doc_tokens, min_size=1, max_size=6).filter(
+    lambda docs: any(docs)), st.integers(1, 8))
+def test_build_matrix_rows_are_the_document_vectors(all_tokens, k):
+    docs = [doc("x", toks, id=str(i)) for i, toks in enumerate(all_tokens)]
+    vocab = build_vocabulary(docs, k)
+    for model in VECTOR_MODELS:
+        rows = build_matrix(docs, vocab, model).rows
+        stacked = np.vstack([vectorize(d.tokens, vocab, model) for d in docs])
+        expected = np.vstack([reference_row(d.tokens, vocab, model)
+                              for d in docs])
+        assert np.array_equal(rows, stacked)
+        assert np.array_equal(rows, expected)
+
+
 def test_vector_models_constant():
     assert VECTOR_MODELS == ("bernoulli", "plain_freq", "norm_freq")

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from maiclass.classifiers import mlp
 from maiclass.classifiers.mlp import (
     MlpClassifier,
     init_glorot,
     mlp_loss_and_grad,
 )
+from maiclass.optim import OptimizerConfig, adam_minimize
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
@@ -129,3 +131,35 @@ def test_round_trip_serialization():
     clone = MlpClassifier.from_dict(est.to_dict())
     assert np.array_equal(est.predict_proba(XOR_X),
                           clone.predict_proba(XOR_X))
+
+
+def test_adam_fit_runs_the_network_once_per_step(monkeypatch):
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(12, 4))
+    y = np.repeat([0, 1, 2], 4)
+    Y = np.eye(3)[y]
+    steps = 15
+    # A zero tolerance never stops early, so Adam takes every step.
+    cfg = OptimizerConfig(max_iterations=steps, tolerance=0.0,
+                          learning_rate=0.01)
+
+    def oracle(t):
+        return mlp_loss_and_grad(t, X, Y, 6, 1e-4)
+
+    theta0 = init_glorot(np.random.default_rng(2), 4, 6, 3)
+    reference = adam_minimize(lambda t: oracle(t)[1], theta0, cfg,
+                              objective=lambda t: oracle(t)[0])
+    assert reference.iterations == steps
+
+    passes = []
+
+    def counted(*args):
+        passes.append(1)
+        return mlp_loss_and_grad(*args)
+
+    monkeypatch.setattr(mlp, "mlp_loss_and_grad", counted)
+    est = MlpClassifier(solver="adam", hidden=6, max_iterations=steps,
+                        learning_rate=0.01, tolerance=0.0)
+    est.fit(X, y, 3, rng=np.random.default_rng(2))
+    assert len(passes) == steps + 1
+    assert np.array_equal(est.theta, reference.x)

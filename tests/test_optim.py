@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from maiclass.errors import LineSearchFailure, NumericalFailure
-from maiclass.optim import OptimizerConfig, adam_minimize, lbfgs_minimize
+from maiclass.optim import (
+    OptimizerConfig,
+    adam_minimize,
+    lbfgs_minimize,
+    split_oracle,
+)
 
 
 def quadratic(x):
@@ -156,3 +161,27 @@ def test_adam_nan_gradient():
     with pytest.raises(NumericalFailure):
         adam_minimize(lambda x: np.full_like(x, float("nan")), [1.0],
                       OptimizerConfig(max_iterations=3))
+
+
+def test_split_oracle_reuses_the_last_point():
+    calls = []
+    objective, gradient = split_oracle(
+        lambda x: calls.append(1) or quadratic(x))
+    x = np.array([1.0, -2.0])
+    assert objective(x) == 5.0
+    assert np.array_equal(gradient(x.copy()), [2.0, -4.0])
+    assert objective(x) == 5.0
+    assert len(calls) == 1
+
+
+def test_split_oracle_calls_again_at_a_new_point():
+    calls = []
+    objective, gradient = split_oracle(
+        lambda x: calls.append(1) or quadratic(x))
+    x = np.array([1.0, -2.0])
+    objective(x)
+    assert np.array_equal(gradient(np.array([3.0, 0.0])), [6.0, 0.0])
+    # The cache holds a copy: changing x in place is a new point.
+    x[0] = 0.0
+    assert objective(x) == 4.0
+    assert len(calls) == 3

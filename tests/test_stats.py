@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maiclass.errors import EmptySample, EmptyTable, LengthMismatch
+from maiclass.errors import EmptySample, EmptyTable, LengthMismatch, Unsupported
 from maiclass.stats import describe, mann_whitney_u, percent_agreement
 
 
@@ -94,7 +94,7 @@ def test_unknown_method():
 
 
 def test_exact_method_requires_tie_free():
-    with pytest.raises(ValueError):
+    with pytest.raises(Unsupported):
         mann_whitney_u([1.0, 1.0], [2.0], method="exact")
 
 
