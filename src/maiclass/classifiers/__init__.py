@@ -19,6 +19,7 @@ from ..errors import (
     DegenerateLabels,
     DimensionMismatch,
     IoError,
+    NumericalFailure,
     ParseError,
     Unsupported,
 )
@@ -117,18 +118,27 @@ def _make_estimator(spec: ClassifierSpec):
     return cls(**fixed, **spec.hyperparams)
 
 
+def _require_finite(X: np.ndarray) -> np.ndarray:
+    """``X`` itself; a NaN or infinite entry raises :class:`NumericalFailure`."""
+    if not np.isfinite(X).all():
+        raise NumericalFailure("feature rows contain NaN or infinite values")
+    return X
+
+
 def _resolve_data(data):
     if hasattr(data, "rows") and hasattr(data, "labels"):
-        return np.asarray(data.rows, dtype=np.float64), tuple(data.labels)
-    rows, labels = data
-    return np.asarray(rows, dtype=np.float64), tuple(labels)
+        rows, labels = data.rows, data.labels
+    else:
+        rows, labels = data
+    return _require_finite(np.asarray(rows, dtype=np.float64)), tuple(labels)
 
 
 def train(spec: ClassifierSpec, data, seed: int = 0) -> TrainedModel:
     """Fit one classifier; ``data`` is a FeatureMatrix or (rows, labels).
 
     ``seed`` only influences algorithms with random initialisation (the two
-    MLPs); everything else is deterministic regardless.
+    MLPs); everything else is deterministic regardless. Rows holding NaN or
+    an infinity raise :class:`NumericalFailure`.
     """
     X, labels = _resolve_data(data)
     classes = tuple(sorted(set(labels)))
@@ -151,7 +161,7 @@ def _check_rows(model: TrainedModel, rows) -> np.ndarray:
         raise DimensionMismatch(
             f"expected rows of width {model.n_features}, "
             f"got shape {X.shape}")
-    return X
+    return _require_finite(X)
 
 
 def predict(model: TrainedModel, rows) -> List[str]:

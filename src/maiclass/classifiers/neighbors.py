@@ -33,6 +33,19 @@ class KNeighbors(Estimator):
         self.n_classes = n_classes
         return self
 
+    @classmethod
+    def from_dict(cls, state: dict):
+        """Load a saved model: one class code in ``[0, n_classes)`` per
+        training row, which is what the vote in ``predict_codes`` counts."""
+        knn = super().from_dict(state)
+        if knn.train_x.ndim != 2 or \
+                knn.train_y.shape != (knn.train_x.shape[0],):
+            raise ValueError("train_y must hold one label per train_x row")
+        if np.any((knn.train_y < 0) | (knn.train_y >= knn.n_classes)):
+            raise ValueError(f"train_y holds a class code outside "
+                             f"[0, {knn.n_classes})")
+        return knn
+
     def kneighbors(self, X, k=None) -> np.ndarray:
         """Indices of the k nearest training rows for each query row."""
         k = self.k if k is None else k

@@ -44,6 +44,31 @@ def _is_punctuation(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
+# Most code points a table remembers: about 5 MB of dict entries. Past it,
+# a new code point is classified on every lookup instead of being stored.
+_DROP_LIMIT = 1 << 16
+
+
+class _DropTable(dict):
+    """``str.translate`` table deleting emoji and punctuation code points.
+
+    Each code point is classified on its first lookup and the answer kept,
+    up to ``_DROP_LIMIT`` code points: ``None`` deletes it, the code point
+    itself keeps it. The predicates are pure, so sharing one table across
+    calls is safe.
+    """
+
+    def __missing__(self, cp: int):
+        ch = chr(cp)
+        keep = None if is_emoji_char(ch) or _is_punctuation(ch) else cp
+        if len(self) < _DROP_LIMIT:
+            self[cp] = keep
+        return keep
+
+
+_DROP = _DropTable()
+
+
 def normalize_text(raw: str) -> list[str]:
     """Normalize raw page text into the token list used for vectorization.
 
@@ -56,9 +81,7 @@ def normalize_text(raw: str) -> list[str]:
     for token in raw.casefold().split():
         if token.startswith("#"):
             continue
-        cleaned = "".join(
-            ch for ch in token if not is_emoji_char(ch) and not _is_punctuation(ch)
-        )
+        cleaned = token.translate(_DROP)
         if cleaned:
             tokens.append(cleaned)
     return tokens

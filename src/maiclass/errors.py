@@ -2,6 +2,9 @@
 
 Every domain failure raises a subclass of :class:`MaiclassError`, so the CLI
 can map any of them to exit code 1 while usage mistakes stay exit code 2.
+A subclass whose constructor does not take the message alone defines
+``__reduce__`` to rebuild itself from its constructor arguments, so every
+error survives pickling (as a worker process needs) with the same message.
 """
 
 
@@ -19,6 +22,10 @@ class ParseError(MaiclassError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.line, self.message)
 
 
 class DuplicateId(MaiclassError):
@@ -27,6 +34,9 @@ class DuplicateId(MaiclassError):
     def __init__(self, doc_id: str):
         super().__init__(f"duplicate document id {doc_id!r}")
         self.doc_id = doc_id
+
+    def __reduce__(self):
+        return type(self), (self.doc_id,)
 
 
 class EmptyCorpus(MaiclassError):
@@ -40,6 +50,9 @@ class ClassTooSmall(MaiclassError):
         super().__init__(f"class {label!r} has only {size} document(s); need at least 2")
         self.label = label
         self.size = size
+
+    def __reduce__(self):
+        return type(self), (self.label, self.size)
 
 
 class DegenerateLabels(MaiclassError):
@@ -72,6 +85,10 @@ class RunFailure(MaiclassError):
     def __init__(self, run: int, cause: Exception):
         super().__init__(f"run {run}: {type(cause).__name__}: {cause}")
         self.run = run
+        self.cause = cause
+
+    def __reduce__(self):
+        return type(self), (self.run, self.cause)
 
 
 class EmptySample(MaiclassError):
@@ -88,6 +105,9 @@ class MissingCell(MaiclassError):
     def __init__(self, model: str, classifier: str, corpus: str, mai: str):
         super().__init__(f"missing cell ({model}, {classifier}, {corpus}, {mai})")
         self.key = (model, classifier, corpus, mai)
+
+    def __reduce__(self):
+        return type(self), self.key
 
 
 class RangeError(MaiclassError):

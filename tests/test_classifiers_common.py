@@ -21,6 +21,7 @@ from maiclass.errors import (
     DegenerateLabels,
     DimensionMismatch,
     IoError,
+    NumericalFailure,
     ParseError,
     Unsupported,
 )
@@ -123,6 +124,25 @@ def test_wrong_width_rejected():
         predict(model, np.zeros(3))
 
 
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_non_finite_rows_are_numerical_failure(algo):
+    rows, labels = blob_data()
+    spec = ClassifierSpec(algorithm=algo)
+    for bad in (np.nan, np.inf, -np.inf):
+        poisoned = rows.copy()
+        poisoned[4, 2] = bad
+        with pytest.raises(NumericalFailure):
+            train(spec, (poisoned, labels))
+    model = train(spec, (rows, labels))
+    query = np.zeros((2, rows.shape[1]))
+    query[1, :2] = [np.nan, np.inf]
+    with pytest.raises(NumericalFailure):
+        predict(model, query)
+    if algo in SCORED:
+        with pytest.raises(NumericalFailure):
+            predict_scores(model, query)
+
+
 def test_model_dict_round_trip_exact():
     rows, labels = blob_data()
     model = train(ClassifierSpec(algorithm="logistic_regression"),
@@ -213,10 +233,14 @@ def _set_last_leaf_class(value):
     ("nb_bernoulli", _set_cell("classes", ["alpha", "beta"])),
     ("svm_rbf", _set_cell("estimator", "machines", 0, "class_a", None)),
     ("nb_gaussian", _set_cell("estimator", "variances", 0, 0, -1.0)),
+    # A label the all-zero probe row's neighbours do not include.
+    ("knn", _set_cell("estimator", "train_y", -1, 7)),
+    # One label more than training rows: predict would never read it.
+    ("knn", lambda state: state["estimator"]["train_y"].append(0)),
 ], ids=["unknown-algorithm", "bad-alpha", "bad-cell", "narrow-log-theta",
         "narrow-train-x", "tree-child-loop", "tree-leaf-class",
         "svm-short-classes", "nb-short-classes", "svm-null-class",
-        "negative-variance"])
+        "negative-variance", "knn-label-out-of-range", "knn-extra-label"])
 def test_corrupt_model_file_is_parse_error(algo, edit, tmp_path):
     rows, labels = blob_data()
     path = tmp_path / "model.json"

@@ -1,6 +1,7 @@
 """Normalization rules, corpus loading, and balance validation."""
 
 import json
+import unicodedata
 
 import pytest
 from hypothesis import given, strategies as st
@@ -62,6 +63,51 @@ def test_is_emoji_char_boundaries():
     assert not is_emoji_char("7")
 
 
+def _per_character_normalize(raw):
+    """Reference: the normalizer tests each character of each token."""
+    tokens = []
+    for token in raw.casefold().split():
+        if token.startswith("#"):
+            continue
+        cleaned = "".join(
+            ch for ch in token
+            if not is_emoji_char(ch)
+            and not unicodedata.category(ch).startswith("P"))
+        if cleaned:
+            tokens.append(cleaned)
+    return tokens
+
+
+# Characters on either side of every emoji range edge, lone surrogates,
+# hashtag markers, whitespace and characters that casefold changes (some
+# into several characters, or into a different category).
+_EDGE_CHARS = [chr(cp) for cp in (
+    0x1EFFF, 0x1F000, 0x1F600, 0x1FAFF, 0x1FB00, 0x25FF, 0x2600, 0x27BF,
+    0x27C0, 0xFDFF, 0xFE00, 0xFE0F, 0xFE10, 0x200C, 0x200D, 0x20E3, 0x2B05,
+    0x2B50, 0x2B55, 0x2B56, 0xD800, 0xDBFF, 0xDC00, 0xDFFF)]
+_EDGE_CHARS += list("# \t\n\u3000ßẞİΣςǅŉﬁﬀΐ")
+
+
+@given(st.text(alphabet=st.one_of(
+    st.characters(exclude_categories=()), st.sampled_from(_EDGE_CHARS)),
+    max_size=80))
+def test_normalize_equals_per_character_reference(raw):
+    assert normalize_text(raw) == _per_character_normalize(raw)
+
+
+def test_drop_table_stops_growing_at_its_limit(monkeypatch):
+    from maiclass import corpus
+    table = corpus._DropTable()
+    monkeypatch.setattr(corpus, "_DROP", table)
+    # More distinct code points than the table keeps, from the ideograph
+    # planes, where casefold changes nothing and nothing is whitespace.
+    raw = "".join(map(chr, range(0x20000, 0x20000 + corpus._DROP_LIMIT + 500)))
+    assert raw.casefold() == raw and raw.split() == [raw]
+    assert normalize_text(raw) == _per_character_normalize(raw)
+    assert len(table) == corpus._DROP_LIMIT
+    assert normalize_text(raw) == _per_character_normalize(raw)
+
+
 @given(st.text(alphabet=st.sampled_from(_ALPHABET), max_size=80))
 def test_normalize_idempotent_on_own_output(raw):
     tokens = normalize_text(raw)
@@ -70,7 +116,6 @@ def test_normalize_idempotent_on_own_output(raw):
 
 @given(st.text(alphabet=st.sampled_from(_ALPHABET), max_size=80))
 def test_normalize_output_is_clean(raw):
-    import unicodedata
     for token in normalize_text(raw):
         assert token
         assert not token.startswith("#")
