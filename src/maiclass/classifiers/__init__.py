@@ -22,6 +22,7 @@ from ..errors import (
     NumericalFailure,
     ParseError,
     Unsupported,
+    _read_text,
 )
 from .kernels import KernelParams, kernel_eval, kernel_matrix
 from .linear import LogisticRegressionOVR, logistic_loss_and_grad
@@ -181,8 +182,6 @@ def predict_scores(model: TrainedModel, rows) -> np.ndarray:
     est = model.estimator
     if hasattr(est, "predict_proba"):
         return est.predict_proba(X)
-    if hasattr(est, "log_joint"):
-        return softmax_rows(est.log_joint(X))
     raise Unsupported(
         f"{model.spec.algorithm} does not produce per-class scores")
 
@@ -242,11 +241,7 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read model file {path}: {exc}") from exc
+    text = _read_text(path, "model file")
     try:
         state = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..optim import OptimizerConfig, lbfgs_minimize
+from ..optim import lbfgs_minimize
 from ..errors import LineSearchFailure
 from .base import Estimator, float_array
 
@@ -43,7 +43,6 @@ def logistic_loss_and_grad(wb: np.ndarray, X: np.ndarray, y_pm: np.ndarray,
 class LogisticRegressionOVR(Estimator):
     """One binary logistic model per class; scores are normalised sigmoids."""
 
-    kind = "logistic_regression"
     STATE = {"weights": float_array, "biases": float_array}
 
     def __init__(self, c: float = 1.0, max_iterations: int = 200,
@@ -64,8 +63,6 @@ class LogisticRegressionOVR(Estimator):
         Xa = np.asarray(X, dtype=np.float64)
         y = np.asarray(y)
         d = Xa.shape[1]
-        cfg = OptimizerConfig(max_iterations=self.max_iterations,
-                              tolerance=self.tolerance)
         self.weights = np.zeros((n_classes, d))
         self.biases = np.zeros(n_classes)
         for cls_code in range(n_classes):
@@ -75,7 +72,8 @@ class LogisticRegressionOVR(Estimator):
                 return logistic_loss_and_grad(wb, Xa, _y, self.c)
 
             try:
-                res = lbfgs_minimize(oracle, np.zeros(d + 1), cfg)
+                res = lbfgs_minimize(oracle, np.zeros(d + 1),
+                                     self.max_iterations, self.tolerance)
                 wb = res.x
             except LineSearchFailure as exc:
                 # Convex and smooth, so this only fires at numeric limits;

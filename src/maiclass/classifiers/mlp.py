@@ -7,12 +7,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..optim import (
-    OptimizerConfig,
-    adam_minimize,
-    lbfgs_minimize,
-    split_oracle,
-)
+from ..optim import adam_minimize, lbfgs_minimize, split_oracle
 from ..errors import LineSearchFailure
 from .base import Estimator, float_array
 from .naive_bayes import softmax_rows
@@ -94,10 +89,6 @@ class MlpClassifier(Estimator):
         self.n_features = None
         self.n_classes = None
 
-    @property
-    def kind(self):
-        return f"mlp_{self.solver}"
-
     def fit(self, X, y, n_classes, rng=None):
         Xa = np.asarray(X, dtype=np.float64)
         y = np.asarray(y)
@@ -112,21 +103,19 @@ class MlpClassifier(Estimator):
             return mlp_loss_and_grad(t, Xa, Y, self.hidden, self.alpha)
 
         if self.solver == "lbfgs":
-            cfg = OptimizerConfig(max_iterations=self.max_iterations,
-                                  tolerance=self.tolerance)
             try:
-                res = lbfgs_minimize(oracle, theta0, cfg)
+                res = lbfgs_minimize(oracle, theta0, self.max_iterations,
+                                     self.tolerance)
                 theta = res.x
             except LineSearchFailure as exc:
                 # ReLU kinks can defeat the Wolfe conditions; keep the best
                 # iterate reached instead of failing the whole fit.
                 theta = exc.best_x
         else:
-            cfg = OptimizerConfig(max_iterations=self.max_iterations,
-                                  tolerance=self.tolerance,
-                                  learning_rate=self.learning_rate)
             objective, gradient = split_oracle(oracle)
-            res = adam_minimize(gradient, theta0, cfg, objective=objective)
+            res = adam_minimize(gradient, theta0, objective,
+                                self.max_iterations, self.tolerance,
+                                self.learning_rate)
             theta = res.x
         self.theta = theta
         self.n_features = d

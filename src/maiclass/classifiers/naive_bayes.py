@@ -23,11 +23,13 @@ class _NaiveBayes(Estimator):
     def predict_codes(self, X):
         return np.argmax(self.log_joint(X), axis=1)
 
+    def predict_proba(self, X):
+        return softmax_rows(self.log_joint(X))
+
 
 class BernoulliNaiveBayes(_NaiveBayes):
     """Presence/absence model with Laplace-style smoothing."""
 
-    kind = "nb_bernoulli"
     STATE = {"log_prior": float_array, "log_theta": float_array,
              "log_one_minus": float_array}
 
@@ -65,7 +67,6 @@ class BernoulliNaiveBayes(_NaiveBayes):
 class MultinomialNaiveBayes(_NaiveBayes):
     """Event-count model; works on raw or normalised frequencies."""
 
-    kind = "nb_multinomial"
     STATE = {"log_prior": float_array, "log_theta": float_array}
 
     def __init__(self, alpha: float = 1.0):
@@ -101,7 +102,6 @@ class MultinomialNaiveBayes(_NaiveBayes):
 class GaussianNaiveBayes(_NaiveBayes):
     """Per-class diagonal Gaussians with variance smoothing."""
 
-    kind = "nb_gaussian"
     STATE = {"log_prior": float_array, "means": float_array,
              "variances": float_array}
 

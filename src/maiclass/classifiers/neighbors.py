@@ -15,7 +15,6 @@ class KNeighbors(Estimator):
     go to the lowest class code.
     """
 
-    kind = "knn"
     STATE = {"n_classes": int, "train_x": float_array,
              "train_y": int_array}
 
@@ -46,12 +45,11 @@ class KNeighbors(Estimator):
                              f"[0, {knn.n_classes})")
         return knn
 
-    def kneighbors(self, X, k=None) -> np.ndarray:
+    def kneighbors(self, X) -> np.ndarray:
         """Indices of the k nearest training rows for each query row."""
-        k = self.k if k is None else k
         Xa = np.asarray(X, dtype=np.float64)
         n_train = self.train_x.shape[0]
-        k = min(k, n_train)
+        k = min(self.k, n_train)
         out = np.empty((Xa.shape[0], k), dtype=np.intp)
         tie_break = np.arange(n_train)
         for r in range(Xa.shape[0]):

@@ -71,10 +71,6 @@ class KernelSvm(Estimator):
         self.converged = True
 
     @property
-    def kind(self):
-        return f"svm_{self.kernel}"
-
-    @property
     def params(self) -> KernelParams:
         return KernelParams(kind=self.kernel, gamma=self.gamma,
                             degree=self.degree, coef0=self.coef0)

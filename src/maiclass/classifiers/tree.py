@@ -21,7 +21,6 @@ class DecisionTree(Estimator):
     boundary exists, which lets patterns like XOR resolve on a later level.
     """
 
-    kind = "decision_tree"
     STATE = {"n_classes": int, "feature": list, "threshold": list,
              "left": list, "right": list, "leaf_class": list}
 

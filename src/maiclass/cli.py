@@ -12,7 +12,7 @@ from typing import List, Optional
 
 from .classifiers import ALGORITHMS, ClassifierSpec
 from .corpus import load_corpus, validate_corpus
-from .errors import IoError, MaiclassError, ParseError
+from .errors import IoError, MaiclassError, ParseError, _read_text
 from .evaluate import results_to_csv, run_grid
 from .report import (
     agreement_columns,
@@ -32,6 +32,14 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as a usage error
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
     return value
 
 
@@ -56,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--algo", choices=ALGORITHMS + ("all",), default="all",
                    help="classifier (default all)")
     e.add_argument("--runs", type=_positive_int, default=5)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=_non_negative_int, default=0)
     e.add_argument("--vocab", type=_positive_int, default=1000,
                    help="vocabulary size (default 1000)")
     e.add_argument("--out", help="write output here instead of stdout")
@@ -100,11 +108,7 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def _read_sample(path: str) -> List[float]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read sample file {path}: {exc}") from exc
+    lines = _read_text(path, "sample file").splitlines()
     values: List[float] = []
     for lineno, line in enumerate(lines, start=1):
         for token in line.replace(",", " ").split():

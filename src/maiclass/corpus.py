@@ -13,7 +13,7 @@ import json
 import unicodedata
 from dataclasses import dataclass, field
 
-from .errors import DuplicateId, IoError, ParseError
+from .errors import DuplicateId, ParseError, _read_text
 
 NETWORKS = ("twitter", "vkontakte")
 LANGUAGES = ("en", "ru")
@@ -124,21 +124,17 @@ class Corpus:
 _REQUIRED_KEYS = ("id", "network", "language", "label", "text")
 
 
-def load_corpus(path: str, format: str = "jsonl") -> Corpus:
+def load_corpus(path: str) -> Corpus:
     """Load a corpus file, normalizing every record's text.
 
     Preserves file order; ``classes`` lists labels in order of first
     appearance. Raises :class:`ParseError` with the 1-based line number on a
     malformed record, :class:`DuplicateId` on a repeated id and
-    :class:`IoError` when the file cannot be read.
+    :class:`IoError` when the file cannot be read or is not UTF-8.
     """
-    if format != "jsonl":
-        raise ValueError(f"unsupported corpus format {format!r}")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise IoError(f"cannot read corpus file {path!r}: {exc}") from exc
+    # Split on "\n" alone, as readlines() does: splitlines() would also
+    # break a record at a raw U+2028 inside a JSON string.
+    lines = _read_text(path, "corpus file").split("\n")
 
     documents: list[Document] = []
     classes: list[str] = []

@@ -1,10 +1,12 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its one file reader.
 
 Every domain failure raises a subclass of :class:`MaiclassError`, so the CLI
 can map any of them to exit code 1 while usage mistakes stay exit code 2.
 A subclass whose constructor does not take the message alone defines
 ``__reduce__`` to rebuild itself from its constructor arguments, so every
 error survives pickling (as a worker process needs) with the same message.
+Every input file is read through ``_read_text``, so an unreadable or
+non-UTF-8 file always ends as :class:`IoError`.
 """
 
 
@@ -14,6 +16,21 @@ class MaiclassError(Exception):
 
 class IoError(MaiclassError):
     """A file could not be read or written."""
+
+
+def _read_text(source, what: str) -> str:
+    """Read a packaged resource or a filesystem path as UTF-8 text.
+
+    A missing or unreadable file and bytes that are not UTF-8 both raise
+    :class:`IoError`.
+    """
+    try:
+        if hasattr(source, "read_text"):
+            return source.read_text(encoding="utf-8")
+        with open(source, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {what} {source}: {exc}") from exc
 
 
 class ParseError(MaiclassError):

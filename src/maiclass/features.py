@@ -7,7 +7,6 @@ total token count so every entry lands in [0, 1].
 
 from __future__ import annotations
 
-import io
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -111,13 +110,3 @@ def build_matrix(docs: Sequence[Document], vocab: Vocabulary, model: str) -> Fea
         model=model, vocab=vocab, rows=rows, labels=tuple(doc.label for doc in docs)
     )
 
-
-def matrix_to_csv(matrix: FeatureMatrix) -> str:
-    """Debug dump: header of vocab tokens, one row per document, label last."""
-    buf = io.StringIO()
-    buf.write(",".join(list(matrix.vocab.tokens) + ["label"]))
-    buf.write("\n")
-    for row, label in zip(matrix.rows, matrix.labels):
-        buf.write(",".join(format(v, "g") for v in row))
-        buf.write(f",{label}\n")
-    return buf.getvalue()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -26,46 +26,29 @@ Oracle = Callable[[np.ndarray], Tuple[float, np.ndarray]]
 _WOLFE_C1 = 1e-4
 _WOLFE_C2 = 0.9
 _CURVATURE_SKIP = 1e-10
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Shared knobs for the iterative optimizers.
-
-    ``learning_rate``, ``beta1``, ``beta2`` and ``epsilon`` only affect Adam;
-    ``history_size`` only affects L-BFGS.
-    """
-
-    max_iterations: int = 200
-    tolerance: float = 1e-6
-    learning_rate: float = 0.001
-    history_size: int = 10
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.history_size < 1:
-            raise ValueError("history_size must be >= 1")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ValueError("betas must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+# L-BFGS keeps the last 10 curvature pairs; Adam uses Kingma & Ba's moment
+# decay rates and denominator guard.
+_HISTORY_SIZE = 10
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
 class OptResult:
     x: np.ndarray
-    fun: Optional[float]
+    fun: float
     iterations: int
     converged: bool
     grad_norm: float
+
+
+def _check_budget(max_iterations: int, tolerance: float) -> None:
+    # Both arrive unchecked from a classifier spec's hyperparameters.
+    if max_iterations < 0:
+        raise ValueError("max_iterations must be >= 0")
+    if tolerance < 0:
+        raise ValueError("tolerance must be >= 0")
 
 
 def _check_x0(x0) -> np.ndarray:
@@ -143,17 +126,17 @@ def _line_search(objective, x, d, f0, g0d, a_init, max_iter=25):
     raise LineSearchFailure()
 
 
-def lbfgs_minimize(objective: Oracle, x0, config: Optional[OptimizerConfig] = None,
-                   ) -> OptResult:
+def lbfgs_minimize(objective: Oracle, x0, max_iterations: int = 200,
+                   tolerance: float = 1e-6) -> OptResult:
     """Limited-memory BFGS with a strong Wolfe line search.
 
     ``objective(x)`` must return ``(value, gradient)``. Raises
     :class:`NumericalFailure` when the oracle is non-finite at ``x0`` and
     :class:`LineSearchFailure` (carrying ``best_x``/``best_f``) when no step
     satisfies the Wolfe conditions. Stops when the gradient 2-norm drops to
-    ``config.tolerance``.
+    ``tolerance``.
     """
-    cfg = config or OptimizerConfig()
+    _check_budget(max_iterations, tolerance)
     x = _check_x0(x0)
     f, g = _call_oracle(objective, x)
     if not math.isfinite(f) or not np.all(np.isfinite(g)):
@@ -163,9 +146,9 @@ def lbfgs_minimize(objective: Oracle, x0, config: Optional[OptimizerConfig] = No
     y_hist: list = []
     rho_hist: list = []
     gnorm = float(np.linalg.norm(g))
-    converged = gnorm <= cfg.tolerance
+    converged = gnorm <= tolerance
     iterations = 0
-    while iterations < cfg.max_iterations and not converged:
+    while iterations < max_iterations and not converged:
         d = _two_loop(g, s_hist, y_hist, rho_hist)
         g0d = float(g @ d)
         if not math.isfinite(g0d) or g0d >= 0.0:
@@ -188,7 +171,7 @@ def lbfgs_minimize(objective: Oracle, x0, config: Optional[OptimizerConfig] = No
             s_hist.append(s)
             y_hist.append(yv)
             rho_hist.append(1.0 / sy)
-            if len(s_hist) > cfg.history_size:
+            if len(s_hist) > _HISTORY_SIZE:
                 s_hist.pop(0)
                 y_hist.pop(0)
                 rho_hist.pop(0)
@@ -197,7 +180,7 @@ def lbfgs_minimize(objective: Oracle, x0, config: Optional[OptimizerConfig] = No
             best_f = f
             best_x = x.copy()
         gnorm = float(np.linalg.norm(g))
-        converged = gnorm <= cfg.tolerance
+        converged = gnorm <= tolerance
         iterations += 1
     return OptResult(x=best_x, fun=best_f, iterations=iterations,
                      converged=converged, grad_norm=gnorm)
@@ -246,53 +229,49 @@ def split_oracle(oracle: Oracle) -> Tuple[Callable[[np.ndarray], float],
 
 
 def adam_minimize(gradient: Callable[[np.ndarray], np.ndarray], x0,
-                  config: Optional[OptimizerConfig] = None,
-                  objective: Optional[Callable[[np.ndarray], float]] = None,
-                  ) -> OptResult:
+                  objective: Callable[[np.ndarray], float],
+                  max_iterations: int = 200, tolerance: float = 1e-6,
+                  learning_rate: float = 0.001) -> OptResult:
     """Full-batch Adam with bias-corrected moments.
 
-    ``gradient(x)`` returns the gradient vector. When ``objective`` is given
-    the best iterate seen (by objective value) is returned and ``fun`` is its
-    value; otherwise the final iterate is returned with ``fun=None``. Stops
-    early when the update-step 2-norm drops to ``config.tolerance``. The very
-    first update is bounded per-coordinate by ``learning_rate``.
+    ``gradient(x)`` returns the gradient vector and ``objective(x)`` the
+    value; the best iterate seen (by objective value) is returned and
+    ``fun`` is its value. Stops early when the update-step 2-norm drops to
+    ``tolerance``. The very first update is bounded per-coordinate by
+    ``learning_rate``.
     """
-    cfg = config or OptimizerConfig()
+    _check_budget(max_iterations, tolerance)
+    if learning_rate <= 0:
+        raise ValueError("learning_rate must be > 0")
     x = _check_x0(x0)
     m = np.zeros_like(x)
     v = np.zeros_like(x)
     best_x = x.copy()
-    best_f: Optional[float] = None
-    if objective is not None:
-        best_f = float(objective(x))
-        if not math.isfinite(best_f):
-            raise NumericalFailure("objective not finite at the starting point")
+    best_f = float(objective(x))
+    if not math.isfinite(best_f):
+        raise NumericalFailure("objective not finite at the starting point")
     converged = False
     t = 0
-    while t < cfg.max_iterations:
+    while t < max_iterations:
         t += 1
         g = np.asarray(gradient(x), dtype=np.float64)
         if not np.all(np.isfinite(g)):
             raise NumericalFailure(f"non-finite gradient at iteration {t}")
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
-        m_hat = m / (1.0 - cfg.beta1 ** t)
-        v_hat = v / (1.0 - cfg.beta2 ** t)
-        step = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        m = _BETA1 * m + (1.0 - _BETA1) * g
+        v = _BETA2 * v + (1.0 - _BETA2) * (g * g)
+        m_hat = m / (1.0 - _BETA1 ** t)
+        v_hat = v / (1.0 - _BETA2 ** t)
+        step = learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)
         x = x - step
-        if objective is not None:
-            f = float(objective(x))
-            if math.isfinite(f) and f < best_f:
-                best_f = f
-                best_x = x.copy()
-        if float(np.linalg.norm(step)) <= cfg.tolerance:
+        f = float(objective(x))
+        if math.isfinite(f) and f < best_f:
+            best_f = f
+            best_x = x.copy()
+        if float(np.linalg.norm(step)) <= tolerance:
             converged = True
             break
-    if objective is None:
-        best_x = x
-    grad_norm = math.nan
     return OptResult(x=best_x, fun=best_f, iterations=t,
-                     converged=converged, grad_norm=grad_norm)
+                     converged=converged, grad_norm=math.nan)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,10 @@ from .classifiers import ALGORITHMS
 from .errors import (
     EmptyTable,
     IncompleteRule,
-    IoError,
     MissingCell,
     ParseError,
     RangeError,
+    _read_text,
 )
 from .features import VECTOR_MODELS
 from .stats import UTestResult, describe, mann_whitney_u, percent_agreement
@@ -113,17 +113,6 @@ def default_scores_path():
 
 def expert_agreement_path():
     return resources.files("maiclass") / "data" / "expert_agreement.csv"
-
-
-def _read_text(source, what: str) -> str:
-    """Read a packaged resource or a filesystem path as UTF-8 text."""
-    try:
-        if hasattr(source, "read_text"):
-            return source.read_text(encoding="utf-8")
-        with open(source, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {what} {source}: {exc}") from exc
 
 
 _HEADER = ("model", "classifier", "corpus", "mai", "score")

@@ -6,7 +6,9 @@ Exit-code contract: 0 success, 1 domain error, 2 usage error.
 import pytest
 
 from conftest import corpus_records, make_synthetic_corpus, write_jsonl
+from maiclass.classifiers import load_model
 from maiclass.cli import main
+from maiclass.errors import IoError
 
 
 def run(capsys, *argv):
@@ -92,6 +94,34 @@ def test_eval_non_positive_count_is_usage_error(capsys, corpus_jsonl_path,
     assert "positive integer" in err
 
 
+def test_eval_negative_seed_is_usage_error(capsys, corpus_jsonl_path):
+    code, _, err = run(capsys, "eval", corpus_jsonl_path, "--seed", "-1")
+    assert code == 2
+    assert "non-negative integer" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "eval", "utest", "agreement",
+                                     "reproduce", "load_model"])
+def test_non_utf8_input_is_io_error(capsys, tmp_path, command):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"\xff1 2 3\n")
+    good = tmp_path / "good.txt"
+    good.write_text("4 5 6\n", encoding="utf-8")
+    if command == "load_model":
+        with pytest.raises(IoError):
+            load_model(str(bad))
+        return
+    argv = {"validate": ["validate", str(bad)],
+            "eval": ["eval", str(bad)],
+            "utest": ["utest", str(good), str(bad)],
+            "agreement": ["agreement", str(bad)],
+            "reproduce": ["reproduce", "--fixture", str(bad)]}[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: IoError")
+
+
 def test_unknown_subcommand(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 2
@@ -131,6 +161,29 @@ def test_utest_exact_on_tied_samples_is_domain_error(capsys, tmp_path):
     b = tmp_path / "b.txt"
     a.write_text("1 2 2\n", encoding="utf-8")
     b.write_text("3 4\n", encoding="utf-8")
+    code, out, err = run(capsys, "utest", str(a), str(b), "--method", "exact")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: Unsupported")
+
+
+def test_utest_nan_is_domain_error(capsys, tmp_path):
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text("1 2 3\n", encoding="utf-8")
+    b.write_text("nan 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "utest", str(a), str(b))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: NumericalFailure")
+
+
+def test_utest_exact_above_size_limit_is_domain_error(capsys, tmp_path):
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text(" ".join(str(v) for v in range(100)), encoding="utf-8")
+    b.write_text(" ".join(str(v + 0.5) for v in range(100)),
+                 encoding="utf-8")
     code, out, err = run(capsys, "utest", str(a), str(b), "--method", "exact")
     assert code == 1
     assert out == ""

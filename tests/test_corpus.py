@@ -192,9 +192,16 @@ def test_missing_file_raises_io_error(tmp_path):
         load_corpus(str(tmp_path / "nope.jsonl"))
 
 
-def test_unknown_format_rejected(corpus_jsonl_path):
-    with pytest.raises(ValueError):
-        load_corpus(corpus_jsonl_path, format="csv")
+def test_records_split_on_newlines_only(tmp_path):
+    # A raw U+2028 inside a JSON string is not a record boundary, and a
+    # CRLF line end reads like LF.
+    records = [{"id": f"p{i}", "network": "vkontakte", "language": "ru",
+                "label": "l", "text": "line\u2028sep"} for i in range(2)]
+    path = tmp_path / "seps.jsonl"
+    path.write_bytes("".join(json.dumps(r, ensure_ascii=False) + "\r\n"
+                             for r in records).encode("utf-8"))
+    corpus = load_corpus(str(path))
+    assert [d.id for d in corpus.documents] == ["p0", "p1"]
 
 
 def test_validate_balanced_passes(synthetic_corpus):

@@ -11,7 +11,6 @@ from maiclass.features import (
     Vocabulary,
     build_matrix,
     build_vocabulary,
-    matrix_to_csv,
     vectorize,
 )
 
@@ -105,16 +104,6 @@ def test_build_matrix_empty_docs():
     vocab = Vocabulary(tokens=("a",), counts={"a": 1})
     with pytest.raises(EmptyCorpus):
         build_matrix([], vocab, "bernoulli")
-
-
-def test_matrix_to_csv_layout():
-    docs = [doc("x", ["a", "a"], id="1"), doc("y", ["b"], id="2")]
-    vocab = build_vocabulary(docs, 10)
-    text = matrix_to_csv(build_matrix(docs, vocab, "plain_freq"))
-    lines = text.splitlines()
-    assert lines[0] == "a,b,label"
-    assert lines[1] == "2,0,x"
-    assert lines[2] == "0,1,y"
 
 
 _token = st.text(alphabet=st.sampled_from("abcdef"), min_size=1, max_size=3)

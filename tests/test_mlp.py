@@ -9,7 +9,7 @@ from maiclass.classifiers.mlp import (
     init_glorot,
     mlp_loss_and_grad,
 )
-from maiclass.optim import OptimizerConfig, adam_minimize
+from maiclass.optim import adam_minimize
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
@@ -97,9 +97,7 @@ def test_adam_separates_blobs():
     assert (est.predict_codes(X) == y).mean() == 1.0
 
 
-def test_solver_name_in_kind():
-    assert MlpClassifier(solver="lbfgs").kind == "mlp_lbfgs"
-    assert MlpClassifier(solver="adam").kind == "mlp_adam"
+def test_constructor_rejects_bad_arguments():
     with pytest.raises(ValueError):
         MlpClassifier(solver="sgd")
     with pytest.raises(ValueError):
@@ -139,16 +137,15 @@ def test_adam_fit_runs_the_network_once_per_step(monkeypatch):
     y = np.repeat([0, 1, 2], 4)
     Y = np.eye(3)[y]
     steps = 15
-    # A zero tolerance never stops early, so Adam takes every step.
-    cfg = OptimizerConfig(max_iterations=steps, tolerance=0.0,
-                          learning_rate=0.01)
 
     def oracle(t):
         return mlp_loss_and_grad(t, X, Y, 6, 1e-4)
 
     theta0 = init_glorot(np.random.default_rng(2), 4, 6, 3)
-    reference = adam_minimize(lambda t: oracle(t)[1], theta0, cfg,
-                              objective=lambda t: oracle(t)[0])
+    # A zero tolerance never stops early, so Adam takes every step.
+    reference = adam_minimize(lambda t: oracle(t)[1], theta0,
+                              lambda t: oracle(t)[0], max_iterations=steps,
+                              tolerance=0.0, learning_rate=0.01)
     assert reference.iterations == steps
 
     passes = []

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from maiclass.errors import LineSearchFailure, NumericalFailure
-from maiclass.optim import (
-    OptimizerConfig,
-    adam_minimize,
-    lbfgs_minimize,
-    split_oracle,
-)
+from maiclass.optim import adam_minimize, lbfgs_minimize, split_oracle
 
 
 def quadratic(x):
     return float(x @ x), 2.0 * x
+
+
+def norm2(x):
+    return float(x @ x)
 
 
 def rosenbrock(x):
@@ -39,15 +38,14 @@ def test_lbfgs_rosenbrock_2d():
 
 
 def test_lbfgs_rosenbrock_10d():
-    cfg = OptimizerConfig(max_iterations=1000, tolerance=1e-8)
-    res = lbfgs_minimize(rosenbrock, np.full(10, -1.0), cfg)
+    res = lbfgs_minimize(rosenbrock, np.full(10, -1.0), max_iterations=1000,
+                         tolerance=1e-8)
     assert res.converged
     assert np.allclose(res.x, np.ones(10), atol=1e-4)
 
 
 def test_lbfgs_zero_iterations_budget():
-    cfg = OptimizerConfig(max_iterations=0)
-    res = lbfgs_minimize(quadratic, [3.0, 4.0], cfg)
+    res = lbfgs_minimize(quadratic, [3.0, 4.0], max_iterations=0)
     assert res.iterations == 0
     assert np.array_equal(res.x, [3.0, 4.0])
 
@@ -95,7 +93,7 @@ def test_lbfgs_gradient_descent_matches_on_first_step():
         seen.append(x.copy())
         return quadratic(x)
 
-    lbfgs_minimize(probe, [2.0, 0.0], OptimizerConfig(max_iterations=1))
+    lbfgs_minimize(probe, [2.0, 0.0], max_iterations=1)
     first_trial = seen[1]
     assert first_trial[1] == 0.0
     assert first_trial[0] < 2.0
@@ -103,20 +101,22 @@ def test_lbfgs_gradient_descent_matches_on_first_step():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        OptimizerConfig(max_iterations=-1)
+        lbfgs_minimize(quadratic, [1.0], max_iterations=-1)
     with pytest.raises(ValueError):
-        OptimizerConfig(learning_rate=0.0)
+        lbfgs_minimize(quadratic, [1.0], tolerance=-1e-6)
     with pytest.raises(ValueError):
-        OptimizerConfig(beta1=1.0)
+        adam_minimize(lambda x: 2.0 * x, [1.0], norm2, max_iterations=-1)
     with pytest.raises(ValueError):
-        OptimizerConfig(history_size=0)
+        adam_minimize(lambda x: 2.0 * x, [1.0], norm2, tolerance=-1e-6)
+    with pytest.raises(ValueError):
+        adam_minimize(lambda x: 2.0 * x, [1.0], norm2, learning_rate=0.0)
     with pytest.raises(ValueError):
         lbfgs_minimize(quadratic, [[1.0, 2.0]])  # not 1-D
 
 
 def test_adam_zero_iterations_returns_start():
-    cfg = OptimizerConfig(max_iterations=0)
-    res = adam_minimize(lambda x: 2.0 * x, [3.0, -1.0], cfg)
+    res = adam_minimize(lambda x: 2.0 * x, [3.0, -1.0], norm2,
+                        max_iterations=0)
     assert res.iterations == 0
     assert np.array_equal(res.x, [3.0, -1.0])
     assert not res.converged
@@ -126,16 +126,17 @@ def test_adam_first_step_bounded_by_learning_rate():
     # Bias-corrected Adam's first update is lr * g / (|g| + eps) per
     # coordinate, so even a huge gradient moves at most ~lr.
     lr = 0.25
-    cfg = OptimizerConfig(max_iterations=1, learning_rate=lr)
-    res = adam_minimize(lambda x: np.full_like(x, 1e9), [0.0, 0.0], cfg)
+    res = adam_minimize(lambda x: np.full_like(x, 1e9), [0.0, 0.0],
+                        lambda x: 1e9 * float(np.sum(x)), max_iterations=1,
+                        learning_rate=lr)
     assert np.all(np.abs(res.x) <= lr * (1.0 + 1e-6))
     assert np.allclose(np.abs(res.x), lr, rtol=1e-6)
 
 
 def test_adam_converges_on_quadratic():
-    cfg = OptimizerConfig(max_iterations=5000, learning_rate=0.05,
-                          tolerance=1e-10)
-    res = adam_minimize(lambda x: 2.0 * x, [3.0, -4.0], cfg)
+    res = adam_minimize(lambda x: 2.0 * x, [3.0, -4.0], norm2,
+                        max_iterations=5000, tolerance=1e-10,
+                        learning_rate=0.05)
     assert np.all(np.abs(res.x) < 1e-3)
 
 
@@ -146,21 +147,18 @@ def test_adam_best_iterate_tracking():
         calls.append(x.copy())
         return 2.0 * x
 
-    def objective(x):
-        return float(x @ x)
-
-    cfg = OptimizerConfig(max_iterations=50, learning_rate=0.3)
-    res = adam_minimize(grad, [1.0], cfg, objective=objective)
-    assert res.fun == objective(res.x)
+    res = adam_minimize(grad, [1.0], norm2, max_iterations=50,
+                        learning_rate=0.3)
+    assert res.fun == norm2(res.x)
     # The reported objective is the minimum over every visited iterate.
-    visited = [objective(x) for x in calls] + [objective(res.x)]
+    visited = [norm2(x) for x in calls] + [norm2(res.x)]
     assert res.fun <= min(visited) + 1e-15
 
 
 def test_adam_nan_gradient():
     with pytest.raises(NumericalFailure):
-        adam_minimize(lambda x: np.full_like(x, float("nan")), [1.0],
-                      OptimizerConfig(max_iterations=3))
+        adam_minimize(lambda x: np.full_like(x, float("nan")), [1.0], norm2,
+                      max_iterations=3)
 
 
 def test_split_oracle_reuses_the_last_point():

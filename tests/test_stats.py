@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maiclass.errors import EmptySample, EmptyTable, LengthMismatch, Unsupported
+from maiclass.errors import (
+    EmptySample,
+    EmptyTable,
+    LengthMismatch,
+    NumericalFailure,
+    Unsupported,
+)
 from maiclass.stats import describe, mann_whitney_u, percent_agreement
 
 
@@ -96,6 +102,41 @@ def test_unknown_method():
 def test_exact_method_requires_tie_free():
     with pytest.raises(Unsupported):
         mann_whitney_u([1.0, 1.0], [2.0], method="exact")
+
+
+def test_exact_method_refuses_samples_above_the_size_limit():
+    # 69 x 68 pairs is just past the bound; the refusal comes before any
+    # counting, so this returns at once.
+    x = [float(v) for v in range(69)]
+    y = [v + 0.5 for v in range(68)]
+    with pytest.raises(Unsupported):
+        mann_whitney_u(x, y, method="exact")
+    assert mann_whitney_u(x, y).method == "normal"
+
+
+def test_exact_method_counts_over_the_smaller_sample():
+    # The bound is on n1 * n2, so a long first sample against a short
+    # second one must cost no more than the reverse order.
+    x = [float(v) for v in range(150)]
+    y = [40.5, 120.5]
+    ab = mann_whitney_u(x, y, method="exact")
+    ba = mann_whitney_u(y, x, method="exact")
+    assert ab.method == ba.method == "exact"
+    assert ab.p_two_sided == ba.p_two_sided
+
+
+@pytest.mark.parametrize("method", ["auto", "normal", "exact"])
+def test_nan_in_either_sample_is_numerical_failure(method):
+    with pytest.raises(NumericalFailure):
+        mann_whitney_u([1.0, 2.0, 3.0], [math.nan, 1.0], method=method)
+    with pytest.raises(NumericalFailure):
+        mann_whitney_u([math.nan], [1.0, 2.0], method=method)
+
+
+def test_infinities_rank_at_the_ends():
+    res = mann_whitney_u([-math.inf, 1.0], [2.0, math.inf])
+    assert (res.u1, res.u2) == (0.0, 4.0)
+    assert res.method == "exact"
 
 
 def test_u_sum_fuzz_1000():
