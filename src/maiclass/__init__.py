@@ -34,8 +34,6 @@ from .features import (
 )
 from .report import (
     ScoreTable,
-    SelectionRule,
-    default_selection_rule,
     load_scores,
     render_report,
     reproduce_stats,
@@ -56,14 +54,12 @@ __all__ = [
     "EvalResult",
     "FeatureMatrix",
     "ScoreTable",
-    "SelectionRule",
     "TrainedModel",
     "VECTOR_MODELS",
     "Vocabulary",
     "__version__",
     "build_matrix",
     "build_vocabulary",
-    "default_selection_rule",
     "describe",
     "f1_scores",
     "load_corpus",

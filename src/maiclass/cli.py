@@ -16,7 +16,6 @@ from .errors import IoError, MaiclassError, ParseError, _read_text
 from .evaluate import results_to_csv, run_grid
 from .report import (
     agreement_columns,
-    default_selection_rule,
     load_scores,
     render_report,
     reproduce_stats,
@@ -86,10 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="recompute the reference study's statistics")
     r.add_argument("--fixture", default=None,
                    help="score grid TSV (default: packaged fixture)")
-    r.add_argument("--knn", choices=("plain", "normalized"), default="plain",
-                   help="frequency variant used for the k-NN row")
-    r.add_argument("--continuity", action="store_true",
-                   help="apply the continuity correction in the U tests")
     r.add_argument("--out", help="write the report here instead of stdout")
     r.add_argument("--format", choices=("markdown", "csv"),
                    default="markdown")
@@ -171,9 +166,7 @@ def _cmd_agreement(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    table = load_scores(args.fixture)
-    rule = default_selection_rule(knn=args.knn)
-    report = reproduce_stats(table, rule, continuity=args.continuity)
+    report = reproduce_stats(load_scores(args.fixture))
     _emit(render_report(report, fmt=args.format), args.out)
     return 0
 

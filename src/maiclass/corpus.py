@@ -129,8 +129,10 @@ def load_corpus(path: str) -> Corpus:
 
     Preserves file order; ``classes`` lists labels in order of first
     appearance. Raises :class:`ParseError` with the 1-based line number on a
-    malformed record, :class:`DuplicateId` on a repeated id and
-    :class:`IoError` when the file cannot be read or is not UTF-8.
+    malformed record, including a field holding a lone surrogate escape such
+    as ``\\ud800`` (it cannot be written back out as UTF-8),
+    :class:`DuplicateId` on a repeated id and :class:`IoError` when the file
+    cannot be read or is not UTF-8.
     """
     # Split on "\n" alone, as readlines() does: splitlines() would also
     # break a record at a raw U+2028 inside a JSON string.
@@ -153,6 +155,11 @@ def load_corpus(path: str) -> Corpus:
                 raise ParseError(lineno, f"missing field {key!r}")
             if not isinstance(record[key], str):
                 raise ParseError(lineno, f"field {key!r} is not a string")
+            try:
+                record[key].encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ParseError(lineno, f"field {key!r} holds a lone "
+                                         "surrogate") from exc
         if record["network"] not in NETWORKS:
             raise ParseError(lineno, f"network must be one of {NETWORKS}")
         if record["language"] not in LANGUAGES:

@@ -21,13 +21,13 @@ class IoError(MaiclassError):
 def _read_text(source, what: str) -> str:
     """Read a packaged resource or a filesystem path as UTF-8 text.
 
-    A missing or unreadable file and bytes that are not UTF-8 both raise
-    :class:`IoError`.
+    A leading byte-order mark is dropped. A missing or unreadable file and
+    bytes that are not UTF-8 both raise :class:`IoError`.
     """
     try:
         if hasattr(source, "read_text"):
-            return source.read_text(encoding="utf-8")
-        with open(source, "r", encoding="utf-8") as fh:
+            return source.read_text(encoding="utf-8-sig")
+        with open(source, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {what} {source}: {exc}") from exc
@@ -129,7 +129,3 @@ class MissingCell(MaiclassError):
 
 class RangeError(MaiclassError):
     """A score value lies outside [0, 1]."""
-
-
-class IncompleteRule(MaiclassError):
-    """A selection rule does not cover all twelve classifiers."""

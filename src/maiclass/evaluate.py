@@ -18,7 +18,6 @@ from .features import build_matrix, build_vocabulary
 class SplitPlan:
     """Document indices for one train/test division, grouped per class."""
 
-    seed: int
     per_class: Dict[str, Tuple[Tuple[int, ...], Tuple[int, ...]]]
 
     @property
@@ -55,7 +54,7 @@ def stratified_split(corpus: Corpus, seed: int) -> SplitPlan:
         train_part = tuple(sorted(int(i) for i in shuffled[:n_train]))
         test_part = tuple(sorted(int(i) for i in shuffled[n_train:]))
         per_class[label] = (train_part, test_part)
-    return SplitPlan(seed=seed, per_class=per_class)
+    return SplitPlan(per_class=per_class)
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,6 @@ class EvalResult:
     vector_model: str
     classes: Tuple[str, ...]
     runs: Tuple[F1Result, ...]
-    master_seed: int
 
     @property
     def mean_f1(self) -> Dict[str, float]:
@@ -155,8 +153,7 @@ def run_grid(corpus: Corpus, vector_models: Sequence[str],
         except MaiclassError as exc:
             raise RunFailure(r, exc) from exc
     return [EvalResult(algorithm=spec.algorithm, vector_model=vector_model,
-                       classes=tuple(corpus.classes), runs=tuple(cell),
-                       master_seed=master_seed)
+                       classes=tuple(corpus.classes), runs=tuple(cell))
             for model_scores, vector_model in zip(scores, vector_models)
             for cell, spec in zip(model_scores, specs)]
 

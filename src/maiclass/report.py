@@ -20,7 +20,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .classifiers import ALGORITHMS
 from .errors import (
     EmptyTable,
-    IncompleteRule,
     MissingCell,
     ParseError,
     RangeError,
@@ -32,7 +31,24 @@ from .stats import UTestResult, describe, mann_whitney_u, percent_agreement
 CORPORA = ("vk_ru", "t_ru", "t_en")
 MAIS = ("football", "rock", "vegetarianism")
 
-VARIANTS = ("plain", "normalized", "either")
+# The frequency block that joins each classifier's bernoulli score in the
+# per-interest score sets: the variant with the larger row sum. The two naive
+# Bayes models score the same on both variants and take plain_freq. Pairing
+# knn with norm_freq instead misses every quoted per-corpus sum.
+FREQUENCY_VARIANT = MappingProxyType({
+    "svm_linear": "plain_freq",
+    "svm_poly": "norm_freq",
+    "svm_rbf": "norm_freq",
+    "svm_sigmoid": "norm_freq",
+    "mlp_lbfgs": "norm_freq",
+    "mlp_adam": "norm_freq",
+    "nb_bernoulli": "plain_freq",
+    "nb_multinomial": "plain_freq",
+    "nb_gaussian": "plain_freq",
+    "logistic_regression": "plain_freq",
+    "decision_tree": "plain_freq",
+    "knn": "plain_freq",
+})
 
 # Tolerance for "matches to three published decimals".
 MATCH_TOL = 5e-4 + 1e-12
@@ -204,71 +220,16 @@ def agreement_columns(path=None) -> List[Tuple[str, float]]:
     return list(zip([h.strip() for h in header], percent_agreement(rows)))
 
 
-@dataclass(frozen=True)
-class SelectionRule:
-    """Which frequency variant joins the presence block, per classifier.
-
-    Every classifier contributes its bernoulli score plus one of the two
-    frequency scores: ``"plain"``, ``"normalized"``, or ``"either"`` (the two
-    are identical, plain is used).
-    """
-
-    assignments: Mapping[str, str]
-
-    def __post_init__(self):
-        missing = [c for c in ALGORITHMS if c not in self.assignments]
-        if missing:
-            raise IncompleteRule(f"no variant assigned for {missing}")
-        bad = {c: v for c, v in self.assignments.items()
-               if v not in VARIANTS}
-        if bad:
-            raise IncompleteRule(f"invalid variant assignment(s) {bad}")
-        extra = [c for c in self.assignments if c not in ALGORITHMS]
-        if extra:
-            raise IncompleteRule(f"unknown classifier(s) {extra}")
-
-    def variant_model(self, classifier: str) -> str:
-        kind = self.assignments[classifier]
-        return "norm_freq" if kind == "normalized" else "plain_freq"
-
-
-def default_selection_rule(knn: str = "plain") -> SelectionRule:
-    """The reference assignment of frequency variants.
-
-    Keeps, for each classifier, the frequency variant that scored at least
-    as well overall; ``knn`` is the one genuinely ambiguous case and can be
-    flipped to ``"normalized"`` for sensitivity checks.
-    """
-    if knn not in ("plain", "normalized"):
-        raise ValueError("knn must be 'plain' or 'normalized'")
-    assignments = {
-        "svm_linear": "plain",
-        "svm_poly": "normalized",
-        "svm_rbf": "normalized",
-        "svm_sigmoid": "normalized",
-        "mlp_lbfgs": "normalized",
-        "mlp_adam": "normalized",
-        "nb_bernoulli": "plain",
-        "nb_multinomial": "either",
-        "nb_gaussian": "either",
-        "logistic_regression": "plain",
-        "decision_tree": "plain",
-        "knn": knn,
-    }
-    return SelectionRule(assignments=MappingProxyType(assignments))
-
-
-def select_scores(table: ScoreTable, rule: Optional[SelectionRule] = None,
+def select_scores(table: ScoreTable,
                   ) -> Dict[str, Dict[str, Tuple[float, ...]]]:
     """24 scores per (interest, corpus): the bernoulli twelve plus variants."""
-    rule = rule or default_selection_rule()
     out: Dict[str, Dict[str, Tuple[float, ...]]] = {}
     for mai in MAIS:
         out[mai] = {}
         for corpus in CORPORA:
             vals = [table.value("bernoulli", clf, corpus, mai)
                     for clf in ALGORITHMS]
-            vals += [table.value(rule.variant_model(clf), clf, corpus, mai)
+            vals += [table.value(FREQUENCY_VARIANT[clf], clf, corpus, mai)
                      for clf in ALGORITHMS]
             out[mai][corpus] = tuple(vals)
     return out
@@ -359,17 +320,14 @@ class ReproduceReport:
             and all(u.u_matched and u.p_matched for u in self.utests)
 
 
-def reproduce_stats(table: Optional[ScoreTable] = None,
-                    rule: Optional[SelectionRule] = None,
-                    continuity: bool = False) -> ReproduceReport:
+def reproduce_stats(table: Optional[ScoreTable] = None) -> ReproduceReport:
     """Recompute every derived reference number from the score grid.
 
     The U tests use the tie-corrected normal approximation without the
     continuity correction, which is what the quoted p-values follow.
     """
     table = table if table is not None else load_scores()
-    rule = rule or default_selection_rule()
-    selected = select_scores(table, rule)
+    selected = select_scores(table)
 
     row_sums = tuple(
         Comparison(label=f"{model}/{clf} row sum",
@@ -432,7 +390,7 @@ def reproduce_stats(table: Optional[ScoreTable] = None,
     )
     utests = tuple(
         UTestLine(label=label,
-                  result=mann_whitney_u(x, y, continuity=continuity,
+                  result=mann_whitney_u(x, y, continuity=False,
                                         method="normal"),
                   reference_u=ref_u, reference_p=ref_p)
         for (label, ref_u, ref_p), (x, y) in zip(REFERENCE_UTESTS, pairs))
@@ -447,6 +405,18 @@ def _mark(ok: bool) -> str:
     return "ok" if ok else "DIFFERS"
 
 
+def _cells(c: Comparison) -> Tuple[str, str, str, str]:
+    """Label, computed, reference and status of one comparison row."""
+    return c.label, fmt3(c.computed), fmt3(c.reference), _mark(c.matched)
+
+
+def _table(head: str, comparisons: Sequence[Comparison]) -> List[str]:
+    """A markdown table of comparison rows under a ``head`` label column."""
+    return ([f"| {head} | computed | reference | status |",
+             "|---|---|---|---|"]
+            + [f"| {' | '.join(_cells(c))} |" for c in comparisons])
+
+
 def render_report(report: ReproduceReport, fmt: str = "markdown") -> str:
     """Serialize a report as markdown or CSV; output is deterministic."""
     if fmt == "csv":
@@ -456,9 +426,7 @@ def render_report(report: ReproduceReport, fmt: str = "markdown") -> str:
                                ("block_means", report.block_means),
                                ("summaries", report.summary_checks),
                                ("medians", report.medians)):
-            for c in comps:
-                lines.append(f"{section},{c.label},{fmt3(c.computed)},"
-                             f"{fmt3(c.reference)},{_mark(c.matched)}")
+            lines += [",".join((section,) + _cells(c)) for c in comps]
         for u in report.utests:
             lines.append(
                 f"utest,{u.label} U,U={u.result.u1:.1f},"
@@ -472,44 +440,22 @@ def render_report(report: ReproduceReport, fmt: str = "markdown") -> str:
     if fmt != "markdown":
         raise ValueError(f"unknown format {fmt!r}")
 
-    out: List[str] = ["# Reference reproduction", ""]
-    out.append("## Row sums")
-    out.append("")
-    out.append("| quantity | computed | reference | status |")
-    out.append("|---|---|---|---|")
-    for c in report.row_sums:
-        out.append(f"| {c.label} | {fmt3(c.computed)} | {fmt3(c.reference)} "
-                   f"| {_mark(c.matched)} |")
-    out.append("")
-    out.append("## Score distribution")
-    out.append("")
-    out.append("| quantity | computed | reference | status |")
-    out.append("|---|---|---|---|")
-    for c in report.perfect_counts + report.block_means:
-        out.append(f"| {c.label} | {fmt3(c.computed)} | {fmt3(c.reference)} "
-                   f"| {_mark(c.matched)} |")
-    out.append("")
-    out.append("## Interest score sets")
-    out.append("")
-    out.append("| interest | vk_ru | t_ru | t_en | total | mean vk | "
-               "mean twitter | mean ru | mean en |")
-    out.append("|---|---|---|---|---|---|---|---|---|")
+    out = ["# Reference reproduction", "",
+           "## Row sums", "",
+           *_table("quantity", report.row_sums), "",
+           "## Score distribution", "",
+           *_table("quantity", report.perfect_counts + report.block_means), "",
+           "## Interest score sets", "",
+           "| interest | vk_ru | t_ru | t_en | total | mean vk | "
+           "mean twitter | mean ru | mean en |",
+           "|---|---|---|---|---|---|---|---|---|"]
     for s in report.summaries:
-        out.append(
-            f"| {s.mai} | {fmt3(s.corpus_sums['vk_ru'])} "
-            f"| {fmt3(s.corpus_sums['t_ru'])} "
-            f"| {fmt3(s.corpus_sums['t_en'])} | {fmt3(s.total)} "
-            f"| {fmt3(s.vk_mean)} | {fmt3(s.twitter_mean)} "
-            f"| {fmt3(s.russian_mean)} | {fmt3(s.english_mean)} |")
-    out.append("")
-    out.append("| check | computed | reference | status |")
-    out.append("|---|---|---|---|")
-    for c in report.summary_checks + report.medians:
-        out.append(f"| {c.label} | {fmt3(c.computed)} | {fmt3(c.reference)} "
-                   f"| {_mark(c.matched)} |")
-    out.append("")
-    out.append("## Mann-Whitney U tests")
-    out.append("")
+        values = (s.corpus_sums["vk_ru"], s.corpus_sums["t_ru"],
+                  s.corpus_sums["t_en"], s.total, s.vk_mean, s.twitter_mean,
+                  s.russian_mean, s.english_mean)
+        out.append(f"| {s.mai} | {' | '.join(map(fmt3, values))} |")
+    out += ["", *_table("check", report.summary_checks + report.medians), "",
+            "## Mann-Whitney U tests", ""]
     for u in report.utests:
         out.append(
             f"- {u.label}: U={u.result.u1:.1f}, "

@@ -3,12 +3,26 @@
 Exit-code contract: 0 success, 1 domain error, 2 usage error.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from conftest import corpus_records, make_synthetic_corpus, write_jsonl
-from maiclass.classifiers import load_model
+from maiclass.classifiers import (
+    ClassifierSpec,
+    load_model,
+    model_to_dict,
+    save_model,
+    train,
+)
 from maiclass.cli import main
 from maiclass.errors import IoError
+from maiclass.report import default_scores_path
+
+# The reports `maiclass reproduce` prints for the packaged score grid, kept
+# byte for byte so that no refactor of report.py can move them.
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -120,6 +134,62 @@ def test_non_utf8_input_is_io_error(capsys, tmp_path, command):
     assert code == 1
     assert out == ""
     assert err.startswith("error: IoError")
+
+
+@pytest.mark.parametrize("command", ["validate", "utest", "agreement",
+                                     "reproduce", "load_model"])
+def test_byte_order_mark_is_dropped(capsys, tmp_path, synthetic_corpus,
+                                    command):
+    # Spreadsheet exports often start with a UTF-8 byte-order mark.
+    if command == "validate":
+        write_jsonl(tmp_path / "plain.txt", corpus_records(synthetic_corpus))
+        text = (tmp_path / "plain.txt").read_text(encoding="utf-8")
+    elif command == "load_model":
+        model = train(ClassifierSpec(algorithm="nb_bernoulli"),
+                      ([[1.0, 0.0], [0.0, 1.0]], ["rock", "football"]))
+        save_model(model, tmp_path / "plain.txt")
+        text = (tmp_path / "plain.txt").read_text(encoding="utf-8")
+    else:
+        text = {"utest": "1 2 3\n",
+                "agreement": "rock,football\n1,1\n0,1\n",
+                "reproduce": default_scores_path().read_text(
+                    encoding="utf-8")}[command]
+    outputs = []
+    for name, prefix in (("plain.txt", b""), ("bom.txt", b"\xef\xbb\xbf")):
+        path = tmp_path / name
+        path.write_bytes(prefix + text.encode("utf-8"))
+        if command == "load_model":
+            outputs.append(model_to_dict(load_model(str(path))))
+            continue
+        argv = {"validate": ["validate", str(path)],
+                "utest": ["utest", str(path), str(path)],
+                "agreement": ["agreement", str(path)],
+                "reproduce": ["reproduce", "--fixture", str(path)]}[command]
+        outputs.append(run(capsys, *argv))
+    assert outputs[0] == outputs[1]
+    if command != "load_model":
+        assert outputs[0][0] == 0
+
+
+@pytest.mark.parametrize("command, to_file", [("validate", False),
+                                              ("eval", False),
+                                              ("eval", True)])
+def test_lone_surrogate_label_is_parse_error(capsys, tmp_path,
+                                             synthetic_corpus, command,
+                                             to_file):
+    # A label that cannot be encoded would end as a traceback when printed.
+    records = list(corpus_records(synthetic_corpus))
+    records[2]["label"] = "\ud800x"
+    path = tmp_path / "surrogate.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records),
+                    encoding="utf-8")
+    target = tmp_path / "results.csv"
+    argv = [command, str(path)] + (["--out", str(target)] if to_file else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ParseError: line 3: ")
+    assert not target.exists()
 
 
 def test_unknown_subcommand(capsys):
@@ -239,6 +309,16 @@ def test_reproduce_csv(capsys):
     assert out.splitlines()[0] == "section,label,computed,reference,status"
 
 
+@pytest.mark.parametrize("argv, golden", [
+    ((), "reproduce.md"),
+    (("--format", "csv"), "reproduce.csv"),
+])
+def test_reproduce_matches_golden_report(capsys, argv, golden):
+    code, out, _ = run(capsys, "reproduce", *argv)
+    assert code == 0
+    assert out == (DATA / golden).read_text(encoding="utf-8")
+
+
 def test_reproduce_out_file(capsys, tmp_path):
     target = tmp_path / "report.md"
     code, out, _ = run(capsys, "reproduce", "--out", str(target))
@@ -255,9 +335,12 @@ def test_reproduce_missing_fixture(capsys, tmp_path):
 
 
 def test_reproduce_knn_variant(capsys):
-    code, out, _ = run(capsys, "reproduce", "--knn", "normalized")
-    assert code == 0
-    assert "U=" in out
+    # The reproduction is fixed: no flag moves it off the published numbers.
+    for flags in (("--knn", "normalized"), ("--continuity",)):
+        code, out, err = run(capsys, "reproduce", *flags)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
 
 
 def test_small_corpus_eval_reports_domain_error(capsys, tmp_path):

@@ -204,6 +204,29 @@ def test_records_split_on_newlines_only(tmp_path):
     assert [d.id for d in corpus.documents] == ["p0", "p1"]
 
 
+@pytest.mark.parametrize("key", ["id", "network", "language", "label",
+                                 "text"])
+def test_lone_surrogate_is_parse_error(tmp_path, key):
+    record = {"id": "p1", "network": "twitter", "language": "en",
+              "label": "l", "text": "t"}
+    path = tmp_path / "surrogate.jsonl"
+    path.write_text(json.dumps(record) + "\n"
+                    + json.dumps(record).replace('"p1"', '"p2"')
+                    .replace(f'"{key}": "', f'"{key}": "\\ud800'),
+                    encoding="utf-8")
+    with pytest.raises(ParseError, match="surrogate") as err:
+        load_corpus(str(path))
+    assert err.value.line == 2
+
+
+def test_escaped_surrogate_pair_loads(tmp_path):
+    path = tmp_path / "pair.jsonl"
+    path.write_text('{"id": "p1", "network": "twitter", "language": "en", '
+                    '"label": "\\ud83d\\ude00", "text": "t"}\n',
+                    encoding="utf-8")
+    assert load_corpus(str(path)).classes == ("\U0001F600",)
+
+
 def test_validate_balanced_passes(synthetic_corpus):
     report = validate_corpus(synthetic_corpus, 30)
     assert report.passed

@@ -1,11 +1,10 @@
-"""Score-grid loading, selection rules, and the reproduction report."""
+"""Score-grid loading, score selection, and the reproduction report."""
 
 import math
 
 import pytest
 
 from maiclass.errors import (
-    IncompleteRule,
     IoError,
     MissingCell,
     ParseError,
@@ -15,6 +14,7 @@ from maiclass.classifiers import ALGORITHMS
 from maiclass.features import VECTOR_MODELS
 from maiclass.report import (
     CORPORA,
+    FREQUENCY_VARIANT,
     MAIS,
     MATCH_TOL,
     REFERENCE_BLOCK_MEANS,
@@ -24,7 +24,6 @@ from maiclass.report import (
     REFERENCE_SUMMARIES,
     ScoreTable,
     default_scores_path,
-    default_selection_rule,
     flat_scores,
     fmt3,
     load_agreement,
@@ -33,7 +32,6 @@ from maiclass.report import (
     reproduce_stats,
     select_scores,
     summarize_mai,
-    SelectionRule,
 )
 from maiclass.stats import describe, percent_agreement
 
@@ -155,45 +153,38 @@ def test_selection_shapes(selected):
 
 
 def test_either_assignments_are_interchangeable(table):
-    base = dict(default_selection_rule().assignments)
-    as_plain = dict(base, nb_multinomial="plain", nb_gaussian="plain")
-    as_norm = dict(base, nb_multinomial="normalized",
-                   nb_gaussian="normalized")
-    sel_a = select_scores(table, SelectionRule(assignments=as_plain))
-    sel_b = select_scores(table, SelectionRule(assignments=as_norm))
-    assert sel_a == sel_b
-
-
-def test_incomplete_rule_errors():
-    with pytest.raises(IncompleteRule):
-        SelectionRule(assignments={})
-    short = dict(default_selection_rule().assignments)
-    del short["knn"]
-    with pytest.raises(IncompleteRule):
-        SelectionRule(assignments=short)
-    bad = dict(default_selection_rule().assignments, knn="sometimes")
-    with pytest.raises(IncompleteRule):
-        SelectionRule(assignments=bad)
-    extra = dict(default_selection_rule().assignments, random_forest="plain")
-    with pytest.raises(IncompleteRule):
-        SelectionRule(assignments=extra)
+    # Why FREQUENCY_VARIANT may pair both naive Bayes models with plain_freq:
+    # their two frequency variants score the same in every cell.
+    for clf in ("nb_multinomial", "nb_gaussian"):
+        for corpus in CORPORA:
+            for mai in MAIS:
+                assert table.value("plain_freq", clf, corpus, mai) \
+                    == table.value("norm_freq", clf, corpus, mai)
 
 
 def test_default_rule_knn_flag(table):
-    plain = default_selection_rule()
-    assert plain.variant_model("knn") == "plain_freq"
-    flipped = default_selection_rule(knn="normalized")
-    assert flipped.variant_model("knn") == "norm_freq"
-    assert select_scores(table, plain) != select_scores(table, flipped)
-    with pytest.raises(ValueError):
-        default_selection_rule(knn="either")
+    # Why FREQUENCY_VARIANT pairs knn with plain_freq: with norm_freq the
+    # per-interest corpus sums no longer match the quoted ones.
+    assert FREQUENCY_VARIANT["knn"] == "plain_freq"
+    flipped = ScoreTable(cells={
+        (model, clf, corpus, mai): table.value(
+            "norm_freq" if (model, clf) == ("plain_freq", "knn") else model,
+            clf, corpus, mai)
+        for model, clf, corpus, mai in table.cells})
+    selected = select_scores(flipped)
+    for mai in MAIS:
+        sums = summarize_mai(selected, mai).corpus_sums
+        for corpus, ref in zip(CORPORA, REFERENCE_SUMMARIES[mai][1:4]):
+            assert abs(sums[corpus] - ref) > MATCH_TOL, (mai, corpus)
 
 
 def test_variant_model_mapping():
-    rule = default_selection_rule()
-    assert rule.variant_model("svm_linear") == "plain_freq"
-    assert rule.variant_model("svm_rbf") == "norm_freq"
-    assert rule.variant_model("nb_multinomial") == "plain_freq"  # "either"
+    assert set(FREQUENCY_VARIANT) == set(ALGORITHMS)
+    assert set(FREQUENCY_VARIANT.values()) == {"plain_freq", "norm_freq"}
+    assert FREQUENCY_VARIANT["svm_linear"] == "plain_freq"
+    assert FREQUENCY_VARIANT["svm_rbf"] == "norm_freq"
+    assert FREQUENCY_VARIANT["nb_multinomial"] == "plain_freq"
+    assert FREQUENCY_VARIANT["nb_gaussian"] == "plain_freq"
 
 
 def test_football_summary(selected):
@@ -258,12 +249,6 @@ def test_reproduce_documents_single_discrepancy():
     assert len(report.notes) == 1
     assert "vegetarianism english mean" in report.notes[0]
     assert "0.966" in report.notes[0]
-
-
-def test_reproduce_u_values_survive_continuity(table):
-    report = reproduce_stats(table, continuity=True)
-    assert all(u.u_matched for u in report.utests)
-    assert all(u.result.continuity_applied for u in report.utests)
 
 
 def test_utest_sample_sizes(table):
