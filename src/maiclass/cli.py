@@ -138,8 +138,10 @@ def _cmd_eval(args) -> int:
                  "|---|---|---|---|"]
         for res in results:
             for label in res.classes:
+                # A bare "|" in a label would end its cell early.
+                cell = label.replace("|", "\\|")
                 lines.append(f"| {res.algorithm} | {res.vector_model} "
-                             f"| {label} | {res.mean_f1[label]:.6f} |")
+                             f"| {cell} | {res.mean_f1[label]:.6f} |")
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return 0

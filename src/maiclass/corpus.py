@@ -77,13 +77,23 @@ def normalize_text(raw: str) -> list[str]:
     characters and discards tokens that end up empty. Total and
     deterministic; idempotent on the space-join of its own output.
     """
+    return _normalize(raw, {})
+
+
+def _normalize(raw: str, cleaned: dict[str, str]) -> list[str]:
+    """:func:`normalize_text`, cleaning each distinct raw token once.
+
+    ``cleaned`` maps a case-folded raw token to its cleaned form, "" when
+    the token is dropped; callers share it across texts.
+    """
     tokens = []
     for token in raw.casefold().split():
-        if token.startswith("#"):
-            continue
-        cleaned = token.translate(_DROP)
-        if cleaned:
-            tokens.append(cleaned)
+        clean = cleaned.get(token)
+        if clean is None:
+            clean = cleaned[token] = "" if token.startswith("#") \
+                else token.translate(_DROP)
+        if clean:
+            tokens.append(clean)
     return tokens
 
 
@@ -141,6 +151,12 @@ def load_corpus(path: str) -> Corpus:
     documents: list[Document] = []
     classes: list[str] = []
     seen_ids: set[str] = set()
+    # Both tables are local, so they die with the call, not the process.
+    # Most raw tokens repeat, and each distinct one is cleaned once; equal
+    # tokens become one str object, so repeats share memory and their dict
+    # lookups compare by identity.
+    cleaned: dict[str, str] = {}
+    pool: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -169,10 +185,12 @@ def load_corpus(path: str) -> Corpus:
         if record["id"] in seen_ids:
             raise DuplicateId(record["id"])
         seen_ids.add(record["id"])
+        tokens = _normalize(record["text"], cleaned)
         documents.append(
-            Document.from_raw(
+            Document(
                 record["id"], record["network"], record["language"],
                 record["label"], record["text"],
+                tuple(map(pool.setdefault, tokens, tokens)),
             )
         )
         if record["label"] not in classes:

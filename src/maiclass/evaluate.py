@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
@@ -167,18 +169,24 @@ def run_experiment(corpus: Corpus, vector_model: str, spec: ClassifierSpec,
 
 
 def results_to_csv(results: Sequence[EvalResult]) -> str:
-    """Flat CSV: one row per (algorithm, vector model, class)."""
+    """Flat CSV: one row per (algorithm, vector model, class).
+
+    A field is quoted only when it needs to be, e.g. a class label holding a
+    comma or a quote.
+    """
     if not results:
         return "algorithm,vector_model,class,mean_f1\n"
     n_runs = len(results[0].runs)
     header = ["algorithm", "vector_model", "class"]
     header += [f"run_{i + 1}" for i in range(n_runs)]
     header.append("mean_f1")
-    lines = [",".join(header)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
     for res in results:
         for label in res.classes:
             cells = [res.algorithm, res.vector_model, label]
             cells += [f"{r.per_class[label]:.6f}" for r in res.runs]
             cells.append(f"{res.mean_f1[label]:.6f}")
-            lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+            writer.writerow(cells)
+    return out.getvalue()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,9 +44,7 @@ def build_vocabulary(docs: Sequence[Document], k: int) -> Vocabulary:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    counter: Counter[str] = Counter()
-    for doc in docs:
-        counter.update(doc.tokens)
+    counter = Counter(chain.from_iterable(doc.tokens for doc in docs))
     if not counter:
         raise EmptyCorpus("no tokens in any document")
     ordered = sorted(counter.items(), key=lambda item: (-item[1], item[0]))
@@ -55,26 +54,37 @@ def build_vocabulary(docs: Sequence[Document], k: int) -> Vocabulary:
 
 def _vectorize_rows(token_seqs: Sequence[Sequence[str]], vocab: Vocabulary,
                     model: str) -> np.ndarray:
-    """One row per token sequence, all looked up in one keyword index."""
+    """One row per token sequence, all looked up in one keyword index.
+
+    Every token of every sequence is looked up in one pass, and the hits
+    land in ``rows`` through one scatter-add; a token outside the
+    vocabulary looks up as -1 and is dropped.
+    """
     if model not in VECTOR_MODELS:
         raise ValueError(f"unknown vector model {model!r}")
     if vocab.size == 0:
         raise ValueError("vocabulary is empty")
     index = vocab.index()
+    lengths = np.fromiter(map(len, token_seqs), dtype=np.intp,
+                          count=len(token_seqs))
+    positions = np.fromiter(
+        map(index.get, chain.from_iterable(token_seqs), repeat(-1)),
+        dtype=np.intp, count=int(lengths.sum()))
+    # Flat cell of each token in the row-major (documents x vocabulary)
+    # matrix: its row's offset plus its keyword position.
+    cells = np.repeat(np.arange(len(token_seqs), dtype=np.intp) * vocab.size,
+                      lengths)
+    cells += positions
     rows = np.zeros((len(token_seqs), vocab.size), dtype=np.float64)
-    for r, tokens in enumerate(token_seqs):
-        hits = [pos for pos in map(index.get, tokens) if pos is not None]
-        rows[r] = np.bincount(np.array(hits, dtype=np.intp),
-                              minlength=vocab.size)
+    # Counts are small integers, exact in float64 in any summation order.
+    np.add.at(rows.reshape(-1), cells[positions >= 0], 1.0)
     if model == "bernoulli":
         # Counts are non-negative integers, so this is (count > 0) as 0/1.
         np.minimum(rows, 1.0, out=rows)
     elif model == "norm_freq":
-        totals = np.array([len(tokens) for tokens in token_seqs],
-                          dtype=np.float64)
         # A document without tokens has an all-zero row; dividing it by 1
         # leaves it as it is.
-        rows /= np.maximum(totals, 1.0)[:, None]
+        rows /= np.maximum(lengths, 1)[:, None]
     return rows
 
 

@@ -3,7 +3,10 @@
 Exit-code contract: 0 success, 1 domain error, 2 usage error.
 """
 
+import csv
+import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -77,6 +80,33 @@ def test_eval_markdown_format(capsys, corpus_jsonl_path):
     assert code == 0
     assert out.splitlines()[0] == "| algorithm | vector model | class | mean F1 |"
     assert "| knn | plain_freq |" in out
+
+
+def test_eval_outputs_parse_back_labels_with_separators(capsys, tmp_path,
+                                                        synthetic_corpus):
+    renamed = {"football": "rock, metal", "rock": 'say "hi" | bye'}
+    records = [dict(r, label=renamed.get(r["label"], r["label"]))
+               for r in corpus_records(synthetic_corpus)]
+    path = write_jsonl(tmp_path / "labels.jsonl", records)
+    labels = ["rock, metal", 'say "hi" | bye', "vegetarianism"]
+    argv = ("eval", path, "--model", "plain", "--algo", "knn", "--runs", "1")
+
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["algorithm", "vector_model", "class", "run_1",
+                       "mean_f1"]
+    assert all(len(row) == 5 for row in rows)
+    assert [row[2] for row in rows[1:]] == labels
+
+    code, out, _ = run(capsys, *argv, "--format", "markdown")
+    assert code == 0
+    # Cells split on unescaped pipes; the outer pipes leave empty ends.
+    table = [[cell.strip().replace("\\|", "|")
+              for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+             for line in out.splitlines()]
+    assert all(len(row) == 4 for row in table)
+    assert [row[2] for row in table[2:]] == labels
 
 
 def test_eval_out_file(capsys, tmp_path, corpus_jsonl_path):

@@ -138,6 +138,26 @@ def test_load_corpus_deterministic(corpus_jsonl_path):
     assert load_corpus(corpus_jsonl_path) == load_corpus(corpus_jsonl_path)
 
 
+# Repeats one raw token, two raw forms of one cleaned token and a hashtag.
+_REPEATS = "Rock ROCK rock! #rock #rock Рок РОК foot00 🎸"
+
+
+@given(st.lists(st.text(alphabet=_ALPHABET, max_size=40), max_size=6))
+def test_load_corpus_tokens_are_normalized_and_pooled(tmp_path_factory,
+                                                      texts):
+    texts = [_REPEATS, *texts, _REPEATS]
+    records = [{"id": str(i), "network": "twitter", "language": "en",
+                "label": "x", "text": text} for i, text in enumerate(texts)]
+    path = write_jsonl(tmp_path_factory.mktemp("pool") / "c.jsonl", records)
+    corpus = load_corpus(path)
+    first_seen = {}
+    for doc, text in zip(corpus.documents, texts, strict=True):
+        assert list(doc.tokens) == normalize_text(text)
+        for token in doc.tokens:
+            # Equal tokens anywhere in the corpus are one object.
+            assert first_seen.setdefault(token, token) is token
+
+
 def test_load_corpus_preserves_order(tmp_path):
     records = [
         {"id": "b", "network": "twitter", "language": "en",

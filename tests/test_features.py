@@ -1,5 +1,7 @@
 """Vocabulary construction and the three bag-of-words vector models."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -151,18 +153,58 @@ def reference_row(tokens, vocab, model):
     return vec
 
 
+def per_row_matrix(token_seqs, vocab, model):
+    """One lookup list and one bincount per document, row by row."""
+    index = vocab.index()
+    rows = np.zeros((len(token_seqs), vocab.size), dtype=np.float64)
+    for r, tokens in enumerate(token_seqs):
+        hits = [pos for pos in map(index.get, tokens) if pos is not None]
+        rows[r] = np.bincount(np.array(hits, dtype=np.intp),
+                              minlength=vocab.size)
+    if model == "bernoulli":
+        np.minimum(rows, 1.0, out=rows)
+    elif model == "norm_freq":
+        totals = np.array([len(tokens) for tokens in token_seqs],
+                          dtype=np.float64)
+        rows /= np.maximum(totals, 1.0)[:, None]
+    return rows
+
+
+def per_document_vocabulary(docs, k):
+    """One ``Counter.update`` per document, then the same top-k order."""
+    counter = Counter()
+    for d in docs:
+        counter.update(d.tokens)
+    top = sorted(counter.items(), key=lambda item: (-item[1], item[0]))[:k]
+    return Vocabulary(tokens=tuple(tok for tok, _ in top), counts=dict(top))
+
+
 @given(st.lists(_doc_tokens, min_size=1, max_size=6).filter(
     lambda docs: any(docs)), st.integers(1, 8))
 def test_build_matrix_rows_are_the_document_vectors(all_tokens, k):
-    docs = [doc("x", toks, id=str(i)) for i, toks in enumerate(all_tokens)]
-    vocab = build_vocabulary(docs, k)
+    vocab = build_vocabulary(
+        [doc("x", toks, id=str(i)) for i, toks in enumerate(all_tokens)], k)
+    # Every example also vectorizes an empty document, one holding only
+    # out-of-vocabulary tokens ("z" is outside the token alphabet) and one
+    # repeating a keyword.
+    seqs = list(all_tokens) + [[], ["zz", "zz"], [vocab.tokens[0]] * 3]
+    docs = [doc("x", toks, id=str(i)) for i, toks in enumerate(seqs)]
     for model in VECTOR_MODELS:
         rows = build_matrix(docs, vocab, model).rows
-        stacked = np.vstack([vectorize(d.tokens, vocab, model) for d in docs])
+        assert rows.tobytes() == per_row_matrix(seqs, vocab, model).tobytes()
         expected = np.vstack([reference_row(d.tokens, vocab, model)
                               for d in docs])
-        assert np.array_equal(rows, stacked)
         assert np.array_equal(rows, expected)
+        for d, row in zip(docs, rows):
+            assert vectorize(d.tokens, vocab, model).tobytes() \
+                == row.tobytes()
+
+
+@given(st.lists(_doc_tokens, min_size=1, max_size=6).filter(
+    lambda docs: any(docs)), st.integers(1, 8))
+def test_vocabulary_matches_per_document_counting(all_tokens, k):
+    docs = [doc("x", toks, id=str(i)) for i, toks in enumerate(all_tokens)]
+    assert build_vocabulary(docs, k) == per_document_vocabulary(docs, k)
 
 
 def test_vector_models_constant():
