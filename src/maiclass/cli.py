@@ -11,7 +11,7 @@ import sys
 from typing import List, Optional
 
 from .classifiers import ALGORITHMS, ClassifierSpec
-from .corpus import load_corpus, validate_corpus
+from .corpus import load_corpus, one_line, validate_corpus
 from .errors import IoError, MaiclassError, ParseError, _read_text
 from .evaluate import results_to_csv, run_grid
 from .report import (
@@ -138,8 +138,9 @@ def _cmd_eval(args) -> int:
                  "|---|---|---|---|"]
         for res in results:
             for label in res.classes:
-                # A bare "|" in a label would end its cell early.
-                cell = label.replace("|", "\\|")
+                # A bare "|" in a label would end its cell early, and a
+                # line break would end its row.
+                cell = one_line(label).replace("|", "\\|")
                 lines.append(f"| {res.algorithm} | {res.vector_model} "
                              f"| {cell} | {res.mean_f1[label]:.6f} |")
         text = "\n".join(lines) + "\n"

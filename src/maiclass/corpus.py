@@ -198,6 +198,18 @@ def load_corpus(path: str) -> Corpus:
     return Corpus(name=path, documents=tuple(documents), classes=tuple(classes))
 
 
+_LINE_BREAKS = str.maketrans({"\n": "\\n", "\r": "\\r"})
+
+
+def one_line(text: str) -> str:
+    """``text`` with each LF and CR written as the escape ``\\n``/``\\r``.
+
+    A label or id is free text in a corpus record; printed raw, a line
+    break in it would split the line it is printed on.
+    """
+    return text.translate(_LINE_BREAKS)
+
+
 @dataclass
 class ValidationReport:
     """Balance and emptiness report for a corpus."""
@@ -218,9 +230,10 @@ class ValidationReport:
             lines.append("corpus has no documents")
         for label, count in self.per_class_counts.items():
             mark = "" if count == self.expected_per_class else f"  (expected {self.expected_per_class})"
-            lines.append(f"  {label}: {count}{mark}")
+            lines.append(f"  {one_line(label)}: {count}{mark}")
         if self.empty_documents:
-            lines.append(f"documents normalizing to no tokens: {', '.join(self.empty_documents)}")
+            ids = ", ".join(map(one_line, self.empty_documents))
+            lines.append(f"documents normalizing to no tokens: {ids}")
         lines.append("result: PASS" if self.passed else "result: FAIL")
         return "\n".join(lines)
 

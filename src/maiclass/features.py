@@ -8,7 +8,7 @@ total token count so every entry lands in [0, 1].
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Iterable, Sequence
 
@@ -26,6 +26,10 @@ class Vocabulary:
 
     tokens: tuple[str, ...]
     counts: dict[str, int]
+    # The lookups of the last two lists of token tuples vectorized against
+    # this vocabulary (a run's two halves); see ``_lookup_cells``.
+    _lookups: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @property
     def size(self) -> int:
@@ -52,32 +56,66 @@ def build_vocabulary(docs: Sequence[Document], k: int) -> Vocabulary:
     return Vocabulary(tokens=tuple(tok for tok, _ in top), counts=dict(top))
 
 
+def _lookup(token_seqs: Sequence[Sequence[str]], vocab: Vocabulary,
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Row lengths and the flat cells of the in-vocabulary tokens.
+
+    Every token of every sequence is looked up in one pass. A token's flat
+    cell in the row-major (sequences x vocabulary) matrix is its row's
+    offset plus its keyword position; a token outside the vocabulary looks
+    up as -1 and is dropped.
+    """
+    n = len(token_seqs)
+    # A matrix too large for int32 cells could not be allocated anyway, but
+    # the cells must not wrap.
+    cell_type = np.int32 if n * vocab.size <= np.iinfo(np.int32).max \
+        else np.intp
+    index = vocab.index()
+    lengths = np.fromiter(map(len, token_seqs), dtype=np.intp, count=n)
+    positions = np.fromiter(
+        map(index.get, chain.from_iterable(token_seqs), repeat(-1)),
+        dtype=cell_type, count=int(lengths.sum()))
+    cells = np.repeat(np.arange(n, dtype=cell_type) * vocab.size, lengths)
+    cells += positions
+    return lengths, cells[positions >= 0]
+
+
+def _lookup_cells(token_seqs: Sequence[Sequence[str]], vocab: Vocabulary,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``_lookup``, remembered on ``vocab`` for lists of token tuples.
+
+    The three vector models of one run vectorize the same two halves, so
+    each half is looked up once. A list matches a remembered one only when
+    every tuple is the identical object: the memo is keyed by the tuples'
+    ids and holds the tuples, so those ids cannot be reused. Lists holding
+    a mutable sequence are never remembered, and the memo keeps at most
+    two lists, dropping the older.
+    """
+    if not all(type(seq) is tuple for seq in token_seqs):
+        return _lookup(token_seqs, vocab)
+    memo = vocab._lookups
+    key = tuple(map(id, token_seqs))
+    if key in memo:
+        return memo[key][1:]
+    lengths, cells = _lookup(token_seqs, vocab)
+    lengths.flags.writeable = cells.flags.writeable = False
+    if len(memo) == 2:
+        del memo[next(iter(memo))]
+    memo[key] = (tuple(token_seqs), lengths, cells)
+    return lengths, cells
+
+
 def _vectorize_rows(token_seqs: Sequence[Sequence[str]], vocab: Vocabulary,
                     model: str) -> np.ndarray:
-    """One row per token sequence, all looked up in one keyword index.
-
-    Every token of every sequence is looked up in one pass, and the hits
-    land in ``rows`` through one scatter-add; a token outside the
-    vocabulary looks up as -1 and is dropped.
-    """
+    """One row per token sequence, its hits added through one scatter-add."""
     if model not in VECTOR_MODELS:
         raise ValueError(f"unknown vector model {model!r}")
     if vocab.size == 0:
         raise ValueError("vocabulary is empty")
-    index = vocab.index()
-    lengths = np.fromiter(map(len, token_seqs), dtype=np.intp,
-                          count=len(token_seqs))
-    positions = np.fromiter(
-        map(index.get, chain.from_iterable(token_seqs), repeat(-1)),
-        dtype=np.intp, count=int(lengths.sum()))
-    # Flat cell of each token in the row-major (documents x vocabulary)
-    # matrix: its row's offset plus its keyword position.
-    cells = np.repeat(np.arange(len(token_seqs), dtype=np.intp) * vocab.size,
-                      lengths)
-    cells += positions
+    lengths, cells = _lookup_cells(token_seqs, vocab)
     rows = np.zeros((len(token_seqs), vocab.size), dtype=np.float64)
     # Counts are small integers, exact in float64 in any summation order.
-    np.add.at(rows.reshape(-1), cells[positions >= 0], 1.0)
+    np.add.at(rows.reshape(-1), cells, 1.0)
     if model == "bernoulli":
         # Counts are non-negative integers, so this is (count > 0) as 0/1.
         np.minimum(rows, 1.0, out=rows)

@@ -250,6 +250,12 @@ def adam_minimize(gradient: Callable[[np.ndarray], np.ndarray], x0,
     best_f = float(objective(x))
     if not math.isfinite(best_f):
         raise NumericalFailure("objective not finite at the starting point")
+    # Each step works in two scratch buffers and updates m, v and x in
+    # place, in the per-element order of
+    #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+    #   step = lr * (m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps);  x = x - step
+    step = np.empty_like(x)
+    scratch = np.empty_like(x)
     converged = False
     t = 0
     while t < max_iterations:
@@ -257,16 +263,24 @@ def adam_minimize(gradient: Callable[[np.ndarray], np.ndarray], x0,
         g = np.asarray(gradient(x), dtype=np.float64)
         if not np.all(np.isfinite(g)):
             raise NumericalFailure(f"non-finite gradient at iteration {t}")
-        m = _BETA1 * m + (1.0 - _BETA1) * g
-        v = _BETA2 * v + (1.0 - _BETA2) * (g * g)
-        m_hat = m / (1.0 - _BETA1 ** t)
-        v_hat = v / (1.0 - _BETA2 ** t)
-        step = learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)
-        x = x - step
+        m *= _BETA1
+        np.multiply(g, 1.0 - _BETA1, out=scratch)
+        m += scratch
+        v *= _BETA2
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - _BETA2
+        v += scratch
+        np.divide(m, 1.0 - _BETA1 ** t, out=step)
+        step *= learning_rate
+        np.divide(v, 1.0 - _BETA2 ** t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += _EPSILON
+        step /= scratch
+        x -= step
         f = float(objective(x))
         if math.isfinite(f) and f < best_f:
             best_f = f
-            best_x = x.copy()
+            np.copyto(best_x, x)
         if float(np.linalg.norm(step)) <= tolerance:
             converged = True
             break

@@ -49,6 +49,22 @@ def test_validate_fails_on_unbalanced(capsys, tmp_path, synthetic_corpus):
     assert "FAIL" in out
 
 
+def test_validate_prints_line_breaks_in_labels_and_ids_escaped(
+        capsys, tmp_path, synthetic_corpus):
+    records = [dict(r, label={"football": "rock\nmetal",
+                              "rock": "cr\rlf"}.get(r["label"], r["label"]))
+               for r in corpus_records(synthetic_corpus)]
+    records.append(dict(records[-1], id="empty\npage", text="#tag"))
+    path = write_jsonl(tmp_path / "breaks.jsonl", records)
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 1
+    lines = out.splitlines()
+    assert "  rock\\nmetal: 30" in lines
+    assert "  cr\\rlf: 30" in lines
+    assert "documents normalizing to no tokens: empty\\npage" in lines
+    assert lines[-1] == "result: FAIL"
+
+
 def test_validate_missing_file(capsys, tmp_path):
     code, out, err = run(capsys, "validate", str(tmp_path / "absent.jsonl"))
     assert code == 1
@@ -84,11 +100,12 @@ def test_eval_markdown_format(capsys, corpus_jsonl_path):
 
 def test_eval_outputs_parse_back_labels_with_separators(capsys, tmp_path,
                                                         synthetic_corpus):
-    renamed = {"football": "rock, metal", "rock": 'say "hi" | bye'}
+    renamed = {"football": "rock, metal", "rock": 'say "hi" | bye',
+               "vegetarianism": "rock\nmetal"}
     records = [dict(r, label=renamed.get(r["label"], r["label"]))
                for r in corpus_records(synthetic_corpus)]
     path = write_jsonl(tmp_path / "labels.jsonl", records)
-    labels = ["rock, metal", 'say "hi" | bye', "vegetarianism"]
+    labels = ["rock, metal", 'say "hi" | bye', "rock\nmetal"]
     argv = ("eval", path, "--model", "plain", "--algo", "knn", "--runs", "1")
 
     code, out, _ = run(capsys, *argv)
@@ -101,8 +118,9 @@ def test_eval_outputs_parse_back_labels_with_separators(capsys, tmp_path,
 
     code, out, _ = run(capsys, *argv, "--format", "markdown")
     assert code == 0
-    # Cells split on unescaped pipes; the outer pipes leave empty ends.
-    table = [[cell.strip().replace("\\|", "|")
+    # One table row per line; cells split on unescaped pipes, and the
+    # outer pipes leave empty ends.
+    table = [[cell.strip().replace("\\|", "|").replace("\\n", "\n")
               for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
              for line in out.splitlines()]
     assert all(len(row) == 4 for row in table)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from maiclass.classifiers import ClassifierSpec
 from maiclass.corpus import Document
 from maiclass.errors import EmptyCorpus
+from maiclass.evaluate import run_grid
 from maiclass.features import (
     VECTOR_MODELS,
     Vocabulary,
@@ -15,6 +17,8 @@ from maiclass.features import (
     build_vocabulary,
     vectorize,
 )
+
+from conftest import make_synthetic_corpus
 
 
 def doc(label, tokens, id="d"):
@@ -209,3 +213,84 @@ def test_vocabulary_matches_per_document_counting(all_tokens, k):
 
 def test_vector_models_constant():
     assert VECTOR_MODELS == ("bernoulli", "plain_freq", "norm_freq")
+
+
+@pytest.fixture
+def lookups(monkeypatch):
+    """Count the keyword-index lookup passes (one ``Vocabulary.index`` each)."""
+    calls = []
+    index = Vocabulary.index
+
+    def counted(self):
+        calls.append(self)
+        return index(self)
+
+    monkeypatch.setattr(Vocabulary, "index", counted)
+    return calls
+
+
+def _memo_docs():
+    seqs = [["a", "b", "a"], [], ["zz"], ["c", "a", "c", "c"], ["b"]]
+    return [doc("x", toks, id=str(i)) for i, toks in enumerate(seqs)]
+
+
+def test_three_models_share_one_lookup_pass(lookups):
+    docs = _memo_docs()
+    vocab = build_vocabulary(docs, 3)
+    rows = {model: build_matrix(docs, vocab, model).rows
+            for model in VECTOR_MODELS}
+    assert len(lookups) == 1
+    seqs = [d.tokens for d in docs]
+    for model in VECTOR_MODELS:
+        assert rows[model].tobytes() \
+            == per_row_matrix(seqs, vocab, model).tobytes()
+
+
+def test_same_length_list_of_other_tuples_is_looked_up_again(lookups):
+    docs = _memo_docs()
+    vocab = build_vocabulary(docs, 3)
+    build_matrix(docs, vocab, "plain_freq")
+    # Same first tuple and length, then equal but distinct tuples, then
+    # other tokens: none of it may come from the first list's lookup.
+    others = [docs[0]] + [doc("x", list(d.tokens), id=d.id)
+                          for d in docs[1:3]] \
+        + [doc("x", ["a"], id="8"), doc("x", ["c", "c"], id="9")]
+    rows = build_matrix(others, vocab, "plain_freq").rows
+    assert len(lookups) == 2
+    # Both lists are remembered now.
+    build_matrix(docs, vocab, "bernoulli")
+    build_matrix(others, vocab, "norm_freq")
+    assert len(lookups) == 2
+    assert rows.tobytes() == per_row_matrix(
+        [d.tokens for d in others], vocab, "plain_freq").tobytes()
+
+
+def test_memo_keeps_at_most_two_lists():
+    docs = _memo_docs()
+    vocab = build_vocabulary(docs, 3)
+    for _ in range(100):
+        vectorize(["a", "c"], vocab, "plain_freq")
+    assert vocab._lookups == {}
+    for i in range(len(docs)):
+        build_matrix(docs[i:], vocab, "bernoulli")
+    assert len(vocab._lookups) == 2
+
+
+def test_memo_leaves_equality_and_repr_alone():
+    docs = _memo_docs()
+    vocab = build_vocabulary(docs, 3)
+    fresh = build_vocabulary(docs, 3)
+    text = repr(vocab)
+    build_matrix(docs, vocab, "norm_freq")
+    assert vocab._lookups
+    assert vocab == fresh
+    assert repr(vocab) == text == repr(fresh)
+    assert "_lookups" not in text
+
+
+def test_run_grid_looks_each_half_up_once(lookups):
+    corpus = make_synthetic_corpus(docs_per_class=6)
+    runs = 3
+    run_grid(corpus, VECTOR_MODELS, [ClassifierSpec(algorithm="nb_multinomial")],
+             runs=runs, master_seed=1)
+    assert len(lookups) == 2 * runs

@@ -1,10 +1,18 @@
 """L-BFGS and Adam behaviour on reference problems."""
 
+import math
+
 import numpy as np
 import pytest
 
+from maiclass.classifiers.mlp import init_glorot, mlp_loss_and_grad
 from maiclass.errors import LineSearchFailure, NumericalFailure
-from maiclass.optim import adam_minimize, lbfgs_minimize, split_oracle
+from maiclass.optim import (
+    OptResult,
+    adam_minimize,
+    lbfgs_minimize,
+    split_oracle,
+)
 
 
 def quadratic(x):
@@ -159,6 +167,104 @@ def test_adam_nan_gradient():
     with pytest.raises(NumericalFailure):
         adam_minimize(lambda x: np.full_like(x, float("nan")), [1.0], norm2,
                       max_iterations=3)
+
+
+def reference_adam(gradient, x0, objective, max_iterations=200,
+                   tolerance=1e-6, learning_rate=0.001):
+    """Adam as first written: fresh arrays for every intermediate value."""
+    x = np.array(x0, dtype=np.float64, copy=True)
+    m = np.zeros_like(x)
+    v = np.zeros_like(x)
+    best_x = x.copy()
+    best_f = float(objective(x))
+    converged = False
+    t = 0
+    while t < max_iterations:
+        t += 1
+        g = np.asarray(gradient(x), dtype=np.float64)
+        if not np.all(np.isfinite(g)):
+            raise NumericalFailure(f"non-finite gradient at iteration {t}")
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * (g * g)
+        m_hat = m / (1.0 - 0.9 ** t)
+        v_hat = v / (1.0 - 0.999 ** t)
+        step = learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        x = x - step
+        f = float(objective(x))
+        if math.isfinite(f) and f < best_f:
+            best_f = f
+            best_x = x.copy()
+        if float(np.linalg.norm(step)) <= tolerance:
+            converged = True
+            break
+    return OptResult(x=best_x, fun=best_f, iterations=t,
+                     converged=converged, grad_norm=math.nan)
+
+
+def _mlp_oracle():
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(20, 6))
+    Y = np.eye(3)[np.arange(20) % 3]
+    return ((lambda t: mlp_loss_and_grad(t, X, Y, 8, 1e-4)),
+            init_glorot(np.random.default_rng(1), 6, 8, 3))
+
+
+def _rosenbrock_with_nan_band(x):
+    # Non-finite values in one region exercise the "keep the best finite
+    # iterate" branch.
+    f, g = rosenbrock(x)
+    return (math.nan if -0.3 < x[0] < -0.2 else f), g
+
+
+@pytest.mark.parametrize("problem, x0, kwargs", [
+    (quadratic, [3.0, -4.0, 0.5], dict(max_iterations=400, tolerance=1e-4,
+                                       learning_rate=0.05)),
+    (rosenbrock, np.full(5, -1.0), dict(max_iterations=300, tolerance=0.0,
+                                        learning_rate=0.02)),
+    (_rosenbrock_with_nan_band, [-0.5, 1.0],
+     dict(max_iterations=300, tolerance=0.0, learning_rate=0.05)),
+    ("mlp", None, dict(max_iterations=60, tolerance=0.0,
+                       learning_rate=0.01)),
+    ("mlp", None, dict(max_iterations=200, tolerance=5e-2,
+                       learning_rate=0.01)),
+], ids=["quadratic-converges", "rosenbrock", "nan-band", "mlp-capped",
+        "mlp-converges"])
+def test_adam_is_bit_identical_to_reference(problem, x0, kwargs):
+    if problem == "mlp":
+        problem, x0 = _mlp_oracle()
+    runs = []
+    for minimize in (adam_minimize, reference_adam):
+        calls = []
+
+        def oracle(x):
+            calls.append(x.tobytes())
+            return problem(x)
+
+        objective, gradient = split_oracle(oracle)
+        res = minimize(gradient, x0, objective, **kwargs)
+        runs.append((res, calls))
+    (res, calls), (ref, ref_calls) = runs
+    assert res.x.tobytes() == ref.x.tobytes()
+    assert res.fun == ref.fun or (math.isnan(res.fun) and math.isnan(ref.fun))
+    assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
+    # The same points in the same order, one oracle call per step.
+    assert calls == ref_calls
+    assert len(calls) == res.iterations + 1
+
+
+def test_adam_leaves_x0_and_returned_gradients_alone():
+    x0 = np.array([3.0, -4.0])
+    grads = []
+
+    def gradient(x):
+        grads.append(2.0 * x)
+        return grads[-1]
+
+    res = adam_minimize(gradient, x0, norm2, max_iterations=5,
+                        tolerance=0.0, learning_rate=0.1)
+    assert np.array_equal(x0, [3.0, -4.0])
+    assert np.array_equal(grads[0], [6.0, -8.0])
+    assert res.x is not x0
 
 
 def test_split_oracle_reuses_the_last_point():
