@@ -3,7 +3,8 @@
 
 Both run a fixed sequence of float64 and integer operations, so the same
 input always gives bit-identical output; the reproducible F1 grid rests on
-that.
+that. ``best_split`` scans every feature of a node in one pass over the whole
+matrix, with O(n*d) scratch per node instead of a Python loop per feature.
 """
 
 import numpy as np
@@ -112,41 +113,56 @@ def best_split(X, y, n_classes):
     two distinct feature values exists. Class counts are kept as integers so
     the Gini comparison never depends on summation order; ties prefer the
     lowest feature index, then the lowest threshold.
+
+    All features are scanned in one pass: each row of a feature-major copy
+    is sorted at once, and the class counts left of every boundary are
+    built one class at a time for all features together. The scratch is
+    O(n*d) per node: a few (d, n) arrays.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.int64)
     n, d = X.shape
-    best_feature = -1
-    best_threshold = 0.0
-    best_score = -np.inf
-    if n < 2:
-        return best_feature, best_threshold, False
-    codes = np.arange(n_classes, dtype=np.int64)
+    if n < 2 or d == 0:
+        return -1, 0.0, False
+    XT = np.ascontiguousarray(X.T)
+    order = np.argsort(XT, axis=1, kind="stable")
+    sv = np.take_along_axis(XT, order, axis=1)
+    syc = y[order]
+    # Each (d, n) array is as large as the node's matrix; drop each one as
+    # soon as it is dead, which keeps the scan's peak near six of them.
+    del XT, order
+    valid = sv[:, 1:] != sv[:, :-1]
+    # left_sq[f, i] / right_sq[f, i]: sum over classes of the squared class
+    # counts left / right of the boundary after sorted position i.
+    left_sq = np.zeros((d, n - 1), dtype=np.int64)
+    right_sq = np.zeros((d, n - 1), dtype=np.int64)
+    cum = np.empty((d, n), dtype=np.int64)
+    sq = np.empty((d, n - 1), dtype=np.int64)
+    for k in range(n_classes):
+        np.cumsum(syc == k, axis=1, dtype=np.int64, out=cum)
+        left = cum[:, :-1]
+        np.multiply(left, left, out=sq)
+        left_sq += sq
+        np.subtract(cum[:, -1:], left, out=sq)
+        sq *= sq
+        right_sq += sq
+    del syc, cum, sq
     nl = np.arange(1, n, dtype=np.int64)
-    nr = n - nl
-    for f in range(d):
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        sv = col[order]
-        syc = y[order]
-        valid = sv[1:] != sv[:-1]
-        if not valid.any():
-            continue
-        cum = np.cumsum(syc[:, None] == codes[None, :], axis=0, dtype=np.int64)
-        left_sq = np.sum(cum[:-1] ** 2, axis=1)
-        right = cum[-1][None, :] - cum[:-1]
-        right_sq = np.sum(right**2, axis=1)
-        # Minimising weighted Gini == maximising sum of squared-count ratios.
-        score = left_sq / nl + right_sq / nr
-        score[~valid] = -np.inf
-        pos = int(np.argmax(score))
-        if score[pos] > best_score:
-            best_score = float(score[pos])
-            v = sv[pos]
-            v_next = sv[pos + 1]
-            thr = (v + v_next) / 2.0
-            if thr >= v_next:
-                thr = v
-            best_feature = f
-            best_threshold = float(thr)
-    return best_feature, best_threshold, best_feature >= 0
+    # Minimising weighted Gini == maximising sum of squared-count ratios.
+    score = left_sq / nl
+    score += right_sq / (n - nl)
+    score[~valid] = -np.inf
+    pos = np.argmax(score, axis=1)
+    per_feature = score[np.arange(d), pos]
+    # argmax returns the first maximum: the lowest feature, and within it
+    # the lowest threshold.
+    f = int(np.argmax(per_feature))
+    if per_feature[f] == -np.inf:
+        return -1, 0.0, False
+    p = int(pos[f])
+    v = sv[f, p]
+    v_next = sv[f, p + 1]
+    thr = (v + v_next) / 2.0
+    if thr >= v_next:
+        thr = v
+    return f, float(thr), True

@@ -246,4 +246,6 @@ def load_model(path) -> TrainedModel:
         state = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"invalid model JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(0, "model JSON nested too deeply") from exc
     return model_from_dict(state)

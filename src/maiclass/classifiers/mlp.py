@@ -25,34 +25,66 @@ def _unpack(theta: np.ndarray, d: int, h: int, c: int):
     return W1, b1, W2, b2
 
 
+class MlpWorkspace:
+    """Scratch arrays for one fit's oracle calls on an (n, d) matrix.
+
+    ``mlp_loss_and_grad`` writes its (n, hidden) and (d, hidden)
+    intermediates here, so the many calls of one fit reuse the same memory
+    instead of allocating (and page-faulting) fresh buffers every step.
+    """
+
+    def __init__(self, n: int, d: int, hidden: int):
+        self.A1 = np.empty((n, hidden))
+        self.dZ1 = np.empty((n, hidden))
+        self.active = np.empty((n, hidden), dtype=bool)
+        self.W1_term = np.empty((d, hidden))
+
+
 def mlp_loss_and_grad(theta: np.ndarray, X: np.ndarray, Y: np.ndarray,
-                      hidden: int, alpha: float) -> Tuple[float, np.ndarray]:
+                      hidden: int, alpha: float,
+                      workspace: MlpWorkspace | None = None,
+                      ) -> Tuple[float, np.ndarray]:
     """Cross-entropy of a ReLU/softmax net plus L2 on the weight matrices.
 
     ``Y`` is one-hot (n, c). The penalty is ``alpha/(2n) * (|W1|^2 + |W2|^2)``;
-    biases are not penalised.
+    biases are not penalised. ``workspace`` (made for this ``X`` and
+    ``hidden``) holds the intermediates between calls; without one, a fresh
+    one is made. The gradient is a new array on every call.
     """
     n, d = X.shape
     c = Y.shape[1]
+    if workspace is None:
+        workspace = MlpWorkspace(n, d, hidden)
     W1, b1, W2, b2 = _unpack(theta, d, hidden, c)
-    Z1 = X @ W1 + b1
-    A1 = np.maximum(Z1, 0.0)
+    grad = np.empty((d + 1) * hidden + (hidden + 1) * c)
+    gW1, gb1, gW2, gb2 = _unpack(grad, d, hidden, c)
+    A1 = workspace.A1
+    np.matmul(X, W1, out=A1)
+    A1 += b1
+    np.maximum(A1, 0.0, out=A1)
     Z2 = A1 @ W2 + b2
     shifted = Z2 - Z2.max(axis=1, keepdims=True)
     log_norm = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
     log_probs = shifted - log_norm
     ce = -float(np.sum(Y * log_probs)) / n
-    loss = ce + alpha / (2.0 * n) * (float(np.sum(W1 * W1))
+    W1_term = workspace.W1_term
+    np.multiply(W1, W1, out=W1_term)
+    loss = ce + alpha / (2.0 * n) * (float(np.sum(W1_term))
                                      + float(np.sum(W2 * W2)))
     P = np.exp(log_probs)
     dZ2 = (P - Y) / n
-    gW2 = A1.T @ dZ2 + (alpha / n) * W2
-    gb2 = dZ2.sum(axis=0)
-    dA1 = dZ2 @ W2.T
-    dZ1 = dA1 * (Z1 > 0.0)
-    gW1 = X.T @ dZ1 + (alpha / n) * W1
-    gb1 = dZ1.sum(axis=0)
-    grad = np.concatenate([gW1.ravel(), gb1, gW2.ravel(), gb2])
+    np.matmul(A1.T, dZ2, out=gW2)
+    gW2 += (alpha / n) * W2
+    np.sum(dZ2, axis=0, out=gb2)
+    # dZ1 = dA1 * (Z1 > 0), and Z1 > 0 exactly where A1 = max(Z1, 0) > 0.
+    dZ1 = workspace.dZ1
+    np.matmul(dZ2, W2.T, out=dZ1)
+    np.greater(A1, 0.0, out=workspace.active)
+    np.multiply(dZ1, workspace.active, out=dZ1)
+    np.matmul(X.T, dZ1, out=gW1)
+    np.multiply(W1, alpha / n, out=W1_term)
+    gW1 += W1_term
+    np.sum(dZ1, axis=0, out=gb1)
     return loss, grad
 
 
@@ -98,9 +130,11 @@ class MlpClassifier(Estimator):
         if rng is None:
             rng = np.random.default_rng(0)
         theta0 = init_glorot(rng, d, self.hidden, n_classes)
+        workspace = MlpWorkspace(n, d, self.hidden)
 
         def oracle(t):
-            return mlp_loss_and_grad(t, Xa, Y, self.hidden, self.alpha)
+            return mlp_loss_and_grad(t, Xa, Y, self.hidden, self.alpha,
+                                     workspace)
 
         if self.solver == "lbfgs":
             try:

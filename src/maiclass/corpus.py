@@ -164,6 +164,8 @@ def load_corpus(path: str) -> Corpus:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(lineno, f"invalid JSON: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise ParseError(lineno, "JSON nested too deeply") from exc
         if not isinstance(record, dict):
             raise ParseError(lineno, "record is not a JSON object")
         for key in _REQUIRED_KEYS:
@@ -198,14 +200,16 @@ def load_corpus(path: str) -> Corpus:
     return Corpus(name=path, documents=tuple(documents), classes=tuple(classes))
 
 
-_LINE_BREAKS = str.maketrans({"\n": "\\n", "\r": "\\r"})
+_LINE_BREAKS = str.maketrans({"\\": "\\\\", "\n": "\\n", "\r": "\\r"})
 
 
 def one_line(text: str) -> str:
     """``text`` with each LF and CR written as the escape ``\\n``/``\\r``.
 
     A label or id is free text in a corpus record; printed raw, a line
-    break in it would split the line it is printed on.
+    break in it would split the line it is printed on. A backslash is
+    written as ``\\\\``, so a label holding a backslash and an ``n`` does
+    not print like one holding a line feed.
     """
     return text.translate(_LINE_BREAKS)
 

@@ -188,22 +188,26 @@ def lbfgs_minimize(objective: Oracle, x0, max_iterations: int = 200,
 
 def _two_loop(g, s_hist, y_hist, rho_hist) -> np.ndarray:
     """Two-loop recursion for the L-BFGS descent direction."""
-    q = -g.copy()
+    q = -g
     if not s_hist:
         return q
+    # Holds each a * yv and (a - b) * s before it is applied to q.
+    term = np.empty_like(q)
     alphas = []
     for s, yv, rho in zip(reversed(s_hist), reversed(y_hist),
                           reversed(rho_hist)):
         a = rho * float(s @ q)
         alphas.append(a)
-        q -= a * yv
+        np.multiply(yv, a, out=term)
+        q -= term
     s_last, y_last = s_hist[-1], y_hist[-1]
     gamma = float(s_last @ y_last) / float(y_last @ y_last)
     q *= gamma
     for (s, yv, rho), a in zip(zip(s_hist, y_hist, rho_hist),
                                reversed(alphas)):
         b = rho * float(yv @ q)
-        q += (a - b) * s
+        np.multiply(s, a - b, out=term)
+        q += term
     return q
 
 
@@ -216,14 +220,24 @@ def split_oracle(oracle: Oracle) -> Tuple[Callable[[np.ndarray], float],
     point calls ``oracle`` once and replaces the cache. Adam asks for the
     objective at the end of one step and the gradient at the start of the
     next, at the same point, so each step costs one oracle call.
+
+    The cache holds its own copy of ``x``, so changing the caller's array in
+    place makes a new point. Each new point is copied into the buffer the
+    cache already holds (when shape and dtype match) rather than a new one.
     """
     cache: list = []
 
     def evaluate(x: np.ndarray) -> Tuple[float, np.ndarray]:
-        if not cache or not np.array_equal(cache[0], x):
-            f, g = oracle(x)
+        x = np.asarray(x)
+        if cache and np.array_equal(cache[0], x):
+            return cache[1], cache[2]
+        f, g = oracle(x)
+        if cache and cache[0].shape == x.shape and cache[0].dtype == x.dtype:
+            np.copyto(cache[0], x)
+            cache[1:] = [f, g]
+        else:
             cache[:] = [np.array(x, copy=True), f, g]
-        return cache[1], cache[2]
+        return f, g
 
     return (lambda x: evaluate(x)[0]), (lambda x: evaluate(x)[1])
 

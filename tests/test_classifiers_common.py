@@ -169,6 +169,14 @@ def test_load_model_errors(tmp_path):
         load_model(wrong)
 
 
+def test_deeply_nested_model_file_is_parse_error(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"format": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                    encoding="utf-8")
+    with pytest.raises(ParseError, match="nested too deeply"):
+        load_model(deep)
+
+
 def test_hyperparameter_overrides_reach_estimator():
     rows, labels = blob_data()
     model = train(ClassifierSpec(algorithm="knn", hyperparams={"k": 1}),

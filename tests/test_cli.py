@@ -79,6 +79,48 @@ def test_validate_malformed_corpus(capsys, tmp_path):
     assert err.startswith("error: ParseError")
 
 
+@pytest.mark.parametrize("command", ["validate", "eval"])
+def test_deeply_nested_corpus_line_is_parse_error(capsys, tmp_path,
+                                                  synthetic_corpus, command):
+    lines = [json.dumps(r) for r in corpus_records(synthetic_corpus)]
+    lines[4] = "{\"a\": " * 100_000 + "1" + "}" * 100_000
+    path = tmp_path / "deep.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ParseError")
+    assert "line 5" in err
+
+
+def test_validate_tells_a_backslash_from_a_line_break(capsys, tmp_path,
+                                                      synthetic_corpus):
+    # "a\nb" holds a line feed, "a\\nb" a backslash and an n: printed, a
+    # backslash is doubled so the two cannot look alike.
+    renamed = {"football": "a\nb", "rock": "a\\nb"}
+    records = [dict(r, label=renamed.get(r["label"], r["label"]))
+               for r in corpus_records(synthetic_corpus)]
+    path = write_jsonl(tmp_path / "backslash.jsonl", records)
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 0
+    lines = out.splitlines()
+    assert "  a\\nb: 30" in lines
+    assert "  a\\\\nb: 30" in lines
+
+
+def test_eval_markdown_tells_a_backslash_from_a_line_break(capsys, tmp_path,
+                                                           synthetic_corpus):
+    renamed = {"football": "a\nb", "rock": "a\\nb"}
+    records = [dict(r, label=renamed.get(r["label"], r["label"]))
+               for r in corpus_records(synthetic_corpus)]
+    path = write_jsonl(tmp_path / "backslash.jsonl", records)
+    code, out, _ = run(capsys, "eval", path, "--model", "plain", "--algo",
+                       "knn", "--runs", "1", "--format", "markdown")
+    assert code == 0
+    cells = [line.split(" | ")[2] for line in out.splitlines()[2:]]
+    assert cells == ["a\\nb", "a\\\\nb", "vegetarianism"]
+
+
 def test_eval_deterministic(capsys, corpus_jsonl_path):
     argv = ("eval", corpus_jsonl_path, "--model", "bernoulli",
             "--algo", "nb_multinomial", "--runs", "2", "--seed", "7")

@@ -180,6 +180,18 @@ def test_parse_error_reports_line(tmp_path, synthetic_corpus):
     assert err.value.line == 7
 
 
+def test_deeply_nested_line_is_parse_error(tmp_path, synthetic_corpus):
+    # Nesting past the interpreter's recursion limit must not escape as a
+    # RecursionError.
+    lines = [json.dumps(r) for r in corpus_records(synthetic_corpus)][:3]
+    lines[1] = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="nested too deeply") as err:
+        load_corpus(str(path))
+    assert err.value.line == 2
+
+
 @pytest.mark.parametrize("record, fragment", [
     ({"id": "x", "network": "twitter", "language": "en", "label": "l"},
      "missing field 'text'"),

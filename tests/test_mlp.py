@@ -6,6 +6,7 @@ import pytest
 from maiclass.classifiers import mlp
 from maiclass.classifiers.mlp import (
     MlpClassifier,
+    MlpWorkspace,
     init_glorot,
     mlp_loss_and_grad,
 )
@@ -160,3 +161,71 @@ def test_adam_fit_runs_the_network_once_per_step(monkeypatch):
     est.fit(X, y, 3, rng=np.random.default_rng(2))
     assert len(passes) == steps + 1
     assert np.array_equal(est.theta, reference.x)
+
+
+def reference_loss_and_grad(theta, X, Y, hidden, alpha):
+    """The allocating form ``mlp_loss_and_grad`` replaced: every
+    intermediate a fresh array, the gradient concatenated at the end."""
+    n, d = X.shape
+    c = Y.shape[1]
+    W1 = theta[:d * hidden].reshape(d, hidden)
+    b1 = theta[d * hidden:(d + 1) * hidden]
+    W2 = theta[(d + 1) * hidden:(d + 1 + c) * hidden].reshape(hidden, c)
+    b2 = theta[(d + 1 + c) * hidden:]
+    Z1 = X @ W1 + b1
+    A1 = np.maximum(Z1, 0.0)
+    Z2 = A1 @ W2 + b2
+    shifted = Z2 - Z2.max(axis=1, keepdims=True)
+    log_norm = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    log_probs = shifted - log_norm
+    ce = -float(np.sum(Y * log_probs)) / n
+    loss = ce + alpha / (2.0 * n) * (float(np.sum(W1 * W1))
+                                     + float(np.sum(W2 * W2)))
+    dZ2 = (np.exp(log_probs) - Y) / n
+    gW2 = A1.T @ dZ2 + (alpha / n) * W2
+    gb2 = dZ2.sum(axis=0)
+    dZ1 = (dZ2 @ W2.T) * (Z1 > 0.0)
+    gW1 = X.T @ dZ1 + (alpha / n) * W1
+    gb1 = dZ1.sum(axis=0)
+    return loss, np.concatenate([gW1.ravel(), gb1, gW2.ravel(), gb2])
+
+
+def _thetas(rng, d, hidden, c, count):
+    # Glorot weights with random biases, one of them exactly zero: with a
+    # sparse X, some pre-activations land exactly on the ReLU kink.
+    for i in range(count):
+        theta = init_glorot(rng, d, hidden, c)
+        theta[d * hidden:(d + 1) * hidden] = rng.normal(size=hidden)
+        theta[d * hidden + i % hidden] = 0.0
+        yield theta
+
+
+def test_reused_workspace_gives_the_bytes_of_a_fresh_call():
+    rng = np.random.default_rng(13)
+    n, d, hidden, c = 17, 9, 7, 3
+    X = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.4)
+    Y = np.eye(c)[rng.integers(0, c, size=n)]
+    workspace = MlpWorkspace(n, d, hidden)
+    for theta in _thetas(rng, d, hidden, c, 6):
+        loss, grad = mlp_loss_and_grad(theta, X, Y, hidden, 1e-2, workspace)
+        fresh_loss, fresh_grad = mlp_loss_and_grad(theta, X, Y, hidden, 1e-2)
+        ref_loss, ref_grad = reference_loss_and_grad(theta, X, Y, hidden,
+                                                     1e-2)
+        assert loss == fresh_loss == ref_loss
+        assert grad.tobytes() == fresh_grad.tobytes() == ref_grad.tobytes()
+
+
+def test_each_call_returns_a_new_gradient_array():
+    # L-BFGS holds the gradients of two points at once.
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(6, 4))
+    Y = np.eye(2)[[0, 1, 0, 1, 0, 1]]
+    workspace = MlpWorkspace(6, 4, 5)
+    first, second = _thetas(rng, 4, 5, 2, 2)
+    _, g1 = mlp_loss_and_grad(first, X, Y, 5, 1e-4, workspace)
+    kept = g1.copy()
+    _, g2 = mlp_loss_and_grad(second, X, Y, 5, 1e-4, workspace)
+    assert g1 is not g2
+    assert not np.shares_memory(g1, g2)
+    assert g1.tobytes() == kept.tobytes()
+    assert g1.tobytes() != g2.tobytes()

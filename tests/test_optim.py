@@ -289,3 +289,22 @@ def test_split_oracle_calls_again_at_a_new_point():
     x[0] = 0.0
     assert objective(x) == 4.0
     assert len(calls) == 3
+
+
+def test_split_oracle_sees_in_place_changes_after_many_points():
+    # The cache copies each new point into the buffer it already holds;
+    # that buffer must stay its own, never the caller's array.
+    calls = []
+    objective, gradient = split_oracle(
+        lambda x: calls.append(1) or quadratic(x))
+    x = np.array([1.0, -2.0])
+    for _ in range(50):
+        x += 0.5
+        assert objective(x) == float(x @ x)
+        assert np.array_equal(gradient(x), 2.0 * x)
+    assert len(calls) == 50
+    x[1] = 7.0
+    assert objective(x) == float(x @ x)
+    assert len(calls) == 51
+    assert np.array_equal(gradient(x.copy()), 2.0 * x)
+    assert len(calls) == 51
