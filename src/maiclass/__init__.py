@@ -10,10 +10,8 @@ from .classifiers import (
     ALGORITHMS,
     ClassifierSpec,
     TrainedModel,
-    load_model,
     predict,
     predict_scores,
-    save_model,
     train,
 )
 from .corpus import Corpus, Document, load_corpus, normalize_text, validate_corpus
@@ -63,7 +61,6 @@ __all__ = [
     "describe",
     "f1_scores",
     "load_corpus",
-    "load_model",
     "load_scores",
     "mann_whitney_u",
     "normalize_text",
@@ -74,7 +71,6 @@ __all__ = [
     "reproduce_stats",
     "run_experiment",
     "run_grid",
-    "save_model",
     "select_scores",
     "stratified_split",
     "train",

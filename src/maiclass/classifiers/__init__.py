@@ -9,7 +9,7 @@ order documents appear in.
 
 from __future__ import annotations
 
-import json
+import inspect
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -18,11 +18,8 @@ import numpy as np
 from ..errors import (
     DegenerateLabels,
     DimensionMismatch,
-    IoError,
     NumericalFailure,
-    ParseError,
     Unsupported,
-    _read_text,
 )
 from .kernels import KernelParams, kernel_eval, kernel_matrix
 from .linear import LogisticRegressionOVR, logistic_loss_and_grad
@@ -44,10 +41,6 @@ __all__ = [
     "train",
     "predict",
     "predict_scores",
-    "save_model",
-    "load_model",
-    "model_to_dict",
-    "model_from_dict",
     "KernelParams",
     "kernel_eval",
     "kernel_matrix",
@@ -85,8 +78,6 @@ _ESTIMATORS = {
 
 ALGORITHMS = tuple(_ESTIMATORS)
 
-MODEL_FORMAT = "maiclass-model/1"
-
 
 @dataclass(frozen=True)
 class ClassifierSpec:
@@ -110,7 +101,7 @@ class TrainedModel:
 
 def _make_estimator(spec: ClassifierSpec):
     cls, fixed = _ESTIMATORS[spec.algorithm]
-    allowed = set(cls.init_args()) - set(fixed)
+    allowed = set(inspect.signature(cls).parameters) - set(fixed)
     unknown = set(spec.hyperparams) - allowed
     if unknown:
         raise ValueError(
@@ -184,68 +175,3 @@ def predict_scores(model: TrainedModel, rows) -> np.ndarray:
         return est.predict_proba(X)
     raise Unsupported(
         f"{model.spec.algorithm} does not produce per-class scores")
-
-
-def model_to_dict(model: TrainedModel) -> dict:
-    return {
-        "format": MODEL_FORMAT,
-        "algorithm": model.spec.algorithm,
-        "hyperparams": dict(model.spec.hyperparams),
-        "classes": list(model.classes),
-        "n_features": model.n_features,
-        "estimator": model.estimator.to_dict(),
-    }
-
-
-def model_from_dict(state: dict) -> TrainedModel:
-    """Rebuild a model saved by :func:`model_to_dict`.
-
-    Any malformed field, an estimator whose class count differs from the
-    header's class list, and any state that cannot predict one all-zero row
-    of the header's width into one of its classes, raises
-    :class:`ParseError`.
-    """
-    if not isinstance(state, dict):
-        raise ParseError(0, "model file is not a JSON object")
-    if state.get("format") != MODEL_FORMAT:
-        raise ParseError(0, f"unsupported model format {state.get('format')!r}")
-    try:
-        spec = ClassifierSpec(algorithm=state["algorithm"],
-                              hyperparams=dict(state.get("hyperparams", {})))
-        cls, _ = _ESTIMATORS[spec.algorithm]
-        model = TrainedModel(spec=spec, classes=tuple(state["classes"]),
-                             n_features=int(state["n_features"]),
-                             estimator=cls.from_dict(state["estimator"]))
-        n_classes = int(model.estimator.n_classes)
-        if n_classes != len(model.classes):
-            raise ParseError(0, f"estimator has {n_classes} classes but the "
-                                f"file lists {len(model.classes)}")
-        code = int(model.estimator.predict_codes(
-            np.zeros((1, model.n_features)))[0])
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ParseError(0, f"malformed model file: {exc}") from exc
-    if not 0 <= code < len(model.classes):
-        raise ParseError(0, f"model predicts class code {code} but has "
-                            f"{len(model.classes)} classes")
-    return model
-
-
-def save_model(model: TrainedModel, path) -> None:
-    """Write the model as deterministic JSON (sorted keys)."""
-    payload = json.dumps(model_to_dict(model), sort_keys=True, indent=1)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write model file {path}: {exc}") from exc
-
-
-def load_model(path) -> TrainedModel:
-    text = _read_text(path, "model file")
-    try:
-        state = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.lineno, f"invalid model JSON: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise ParseError(0, "model JSON nested too deeply") from exc
-    return model_from_dict(state)

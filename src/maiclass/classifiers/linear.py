@@ -6,7 +6,6 @@ import numpy as np
 
 from ..optim import lbfgs_minimize
 from ..errors import LineSearchFailure
-from .base import Estimator, float_array
 
 
 def _log1pexp(t: np.ndarray) -> np.ndarray:
@@ -40,10 +39,8 @@ def logistic_loss_and_grad(wb: np.ndarray, X: np.ndarray, y_pm: np.ndarray,
     return loss, grad
 
 
-class LogisticRegressionOVR(Estimator):
+class LogisticRegressionOVR:
     """One binary logistic model per class; scores are normalised sigmoids."""
-
-    STATE = {"weights": float_array, "biases": float_array}
 
     def __init__(self, c: float = 1.0, max_iterations: int = 200,
                  tolerance: float = 1e-6):
@@ -54,10 +51,6 @@ class LogisticRegressionOVR(Estimator):
         self.tolerance = tolerance
         self.weights = None
         self.biases = None
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.biases)
 
     def fit(self, X, y, n_classes, rng=None):
         Xa = np.asarray(X, dtype=np.float64)

@@ -9,7 +9,6 @@ import numpy as np
 
 from ..optim import adam_minimize, lbfgs_minimize, split_oracle
 from ..errors import LineSearchFailure
-from .base import Estimator, float_array
 from .naive_bayes import softmax_rows
 
 
@@ -99,10 +98,8 @@ def init_glorot(rng: np.random.Generator, d: int, hidden: int, c: int,
                            W2.ravel(), np.zeros(c)])
 
 
-class MlpClassifier(Estimator):
+class MlpClassifier:
     """100-unit ReLU hidden layer, softmax output."""
-
-    STATE = {"theta": float_array, "n_features": int, "n_classes": int}
 
     def __init__(self, solver: str = "lbfgs", hidden: int = 100,
                  alpha: float = 1e-4, max_iterations: int = 200,

@@ -10,15 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NumericalFailure
-from .base import Estimator, float_array
 
 
-class _NaiveBayes(Estimator):
+class _NaiveBayes:
     """What the three models share: argmax of ``log_joint`` over classes."""
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.log_prior)
 
     def predict_codes(self, X):
         return np.argmax(self.log_joint(X), axis=1)
@@ -29,9 +24,6 @@ class _NaiveBayes(Estimator):
 
 class BernoulliNaiveBayes(_NaiveBayes):
     """Presence/absence model with Laplace-style smoothing."""
-
-    STATE = {"log_prior": float_array, "log_theta": float_array,
-             "log_one_minus": float_array}
 
     def __init__(self, alpha: float = 1.0):
         if alpha <= 0:
@@ -67,8 +59,6 @@ class BernoulliNaiveBayes(_NaiveBayes):
 class MultinomialNaiveBayes(_NaiveBayes):
     """Event-count model; works on raw or normalised frequencies."""
 
-    STATE = {"log_prior": float_array, "log_theta": float_array}
-
     def __init__(self, alpha: float = 1.0):
         if alpha <= 0:
             raise ValueError("alpha must be > 0")
@@ -102,9 +92,6 @@ class MultinomialNaiveBayes(_NaiveBayes):
 class GaussianNaiveBayes(_NaiveBayes):
     """Per-class diagonal Gaussians with variance smoothing."""
 
-    STATE = {"log_prior": float_array, "means": float_array,
-             "variances": float_array}
-
     def __init__(self, var_smoothing: float = 1e-9):
         if var_smoothing < 0:
             raise ValueError("var_smoothing must be >= 0")
@@ -137,13 +124,6 @@ class GaussianNaiveBayes(_NaiveBayes):
         self.means = means
         self.variances = variances
         return self
-
-    @classmethod
-    def from_dict(cls, state: dict):
-        est = super().from_dict(state)
-        if not np.all(np.isfinite(est.variances) & (est.variances > 0.0)):
-            raise ValueError("variances must be finite and > 0")
-        return est
 
     def log_joint(self, X):
         Xa = np.asarray(X, dtype=np.float64)

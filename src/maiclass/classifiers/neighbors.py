@@ -4,19 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Estimator, float_array, int_array
 
-
-class KNeighbors(Estimator):
+class KNeighbors:
     """Memorises the training matrix; all work happens at predict time.
 
     Neighbours are ranked by squared Euclidean distance with the training
     row index as tie-breaker, so ordering is fully deterministic. Vote ties
     go to the lowest class code.
     """
-
-    STATE = {"n_classes": int, "train_x": float_array,
-             "train_y": int_array}
 
     def __init__(self, k: int = 5):
         if k < 1:
@@ -31,19 +26,6 @@ class KNeighbors(Estimator):
         self.train_y = np.asarray(y, dtype=np.int64).copy()
         self.n_classes = n_classes
         return self
-
-    @classmethod
-    def from_dict(cls, state: dict):
-        """Load a saved model: one class code in ``[0, n_classes)`` per
-        training row, which is what the vote in ``predict_codes`` counts."""
-        knn = super().from_dict(state)
-        if knn.train_x.ndim != 2 or \
-                knn.train_y.shape != (knn.train_x.shape[0],):
-            raise ValueError("train_y must hold one label per train_x row")
-        if np.any((knn.train_y < 0) | (knn.train_y >= knn.n_classes)):
-            raise ValueError(f"train_y holds a class code outside "
-                             f"[0, {knn.n_classes})")
-        return knn
 
     def kneighbors(self, X) -> np.ndarray:
         """Indices of the k nearest training rows for each query row."""

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from ..optim import smo_solve
-from .base import Estimator, float_array
 from .kernels import KernelParams, kernel_matrix
 
 
@@ -22,35 +20,18 @@ class _PairMachine:
     sv_x: np.ndarray
     dual_coef: np.ndarray
     bias: float
-    converged: bool
 
 
-def _load_machines(items) -> List[_PairMachine]:
-    machines = []
-    for m in items:
-        sv = float_array(m["sv_x"])
-        if sv.size == 0:
-            sv = sv.reshape(0, 0)
-        machines.append(_PairMachine(
-            class_a=operator.index(m["class_a"]),
-            class_b=operator.index(m["class_b"]), sv_x=sv,
-            dual_coef=float_array(m["dual_coef"]), bias=m["bias"],
-            converged=m["converged"]))
-    return machines
-
-
-class KernelSvm(Estimator):
+class KernelSvm:
     """C-SVC with linear, polynomial, RBF or sigmoid kernel.
 
     Multiclass is one-vs-one: each pair (a, b) with a < b trains a binary
     machine treating a as +1. Prediction counts votes; vote ties fall back to
     summed decision values, then to the lowest class code.
 
-    ``gamma=None`` means ``1 / n_features``; once fitted, ``gamma`` reads the
-    value the fit resolved, which is what a saved model stores.
+    ``gamma=None`` means ``1 / n_features``; each fit resolves it into
+    ``params``, the kernel the fitted machines use.
     """
-
-    STATE = {"n_classes": int, "converged": bool, "machines": _load_machines}
 
     def __init__(self, kernel: str = "linear", c: float = 1.0,
                  tolerance: float = 1e-3, gamma: Optional[float] = None,
@@ -62,28 +43,20 @@ class KernelSvm(Estimator):
         self.c = c
         self.tolerance = tolerance
         self.gamma = gamma
-        self._gamma_arg = gamma
         self.degree = degree
         self.coef0 = coef0
         self.max_iterations = max_iterations
+        self.params: Optional[KernelParams] = None
         self.machines: List[_PairMachine] = []
         self.n_classes = 0
         self.converged = True
 
-    @property
-    def params(self) -> KernelParams:
-        return KernelParams(kind=self.kernel, gamma=self.gamma,
-                            degree=self.degree, coef0=self.coef0)
-
     def fit(self, X, y, n_classes, rng=None):
         Xa = np.asarray(X, dtype=np.float64)
         y = np.asarray(y)
-        # Resolve from the constructor's value, so a refit on data of a new
-        # width gets 1 / width rather than the previous fit's gamma.
-        self.gamma = self._gamma_arg
-        if self.gamma is None:
-            self.gamma = 1.0 / Xa.shape[1]
-        params = self.params
+        gamma = 1.0 / Xa.shape[1] if self.gamma is None else self.gamma
+        self.params = KernelParams(kind=self.kernel, gamma=gamma,
+                                   degree=self.degree, coef0=self.coef0)
         self.n_classes = n_classes
         self.machines = []
         self.converged = True
@@ -92,37 +65,22 @@ class KernelSvm(Estimator):
                 idx = np.nonzero((y == a) | (y == b))[0]
                 rows = Xa[idx]
                 y_pm = np.where(y[idx] == a, 1.0, -1.0)
-                K = kernel_matrix(params, rows)
+                K = kernel_matrix(self.params, rows)
                 sol = smo_solve(K, y_pm, c=self.c, tolerance=self.tolerance,
                                 max_iterations=self.max_iterations)
                 sv = np.asarray(sol.support_indices, dtype=np.intp)
                 coef = (sol.alphas * y_pm)[sv]
                 self.machines.append(_PairMachine(
                     class_a=a, class_b=b, sv_x=rows[sv].copy(),
-                    dual_coef=coef, bias=sol.bias,
-                    converged=sol.converged))
-                if not sol.converged:
-                    self.converged = False
+                    dual_coef=coef, bias=sol.bias))
+                self.converged = self.converged and sol.converged
         return self
-
-    @classmethod
-    def from_dict(cls, state: dict):
-        svm = super().from_dict(state)
-        for mach in svm.machines:
-            if not 0 <= mach.class_a < mach.class_b < svm.n_classes:
-                raise ValueError(
-                    f"machine for classes ({mach.class_a}, {mach.class_b}) "
-                    f"does not fit {svm.n_classes} classes")
-        return svm
 
     def decision_pairs(self, X) -> np.ndarray:
         """Decision value of every pair machine; shape (n, n_pairs)."""
         Xa = np.asarray(X, dtype=np.float64)
         out = np.empty((Xa.shape[0], len(self.machines)))
         for k, mach in enumerate(self.machines):
-            if mach.sv_x.shape[0] == 0:
-                out[:, k] = mach.bias
-                continue
             K = kernel_matrix(self.params, Xa, mach.sv_x)
             out[:, k] = K @ mach.dual_coef + mach.bias
         return out

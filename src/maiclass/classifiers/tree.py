@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from .. import _core
-from .base import Estimator
 
 
-class DecisionTree(Estimator):
+class DecisionTree:
     """Binary tree with axis-aligned threshold splits.
 
     Nodes are stored in parallel arrays in preorder (left subtree before
@@ -21,21 +18,16 @@ class DecisionTree(Estimator):
     boundary exists, which lets patterns like XOR resolve on a later level.
     """
 
-    STATE = {"n_classes": int, "feature": list, "threshold": list,
-             "left": list, "right": list, "leaf_class": list}
-
     def __init__(self):
         self.feature: list = []
         self.threshold: list = []
         self.left: list = []
         self.right: list = []
         self.leaf_class: list = []
-        self.n_classes = 0
 
     def fit(self, X, y, n_classes, rng=None):
         Xa = np.ascontiguousarray(X, dtype=np.float64)
         ya = np.ascontiguousarray(y, dtype=np.int64)
-        self.n_classes = n_classes
         self.feature = []
         self.threshold = []
         self.left = []
@@ -67,30 +59,6 @@ class DecisionTree(Estimator):
             stack.append((idx[~go_left], node, False))
             stack.append((idx[go_left], node, True))
         return self
-
-    @classmethod
-    def from_dict(cls, state: dict):
-        """Load a saved tree; every child must come after its parent.
-
-        A fitted tree always satisfies that, and it is what makes
-        ``predict_codes`` reach a leaf: a child pointing back to an ancestor
-        would loop forever.
-        """
-        tree = super().from_dict(state)
-        n = tree.n_nodes
-        if n == 0 or any(len(part) != n for part in (
-                tree.threshold, tree.left, tree.right, tree.leaf_class)):
-            raise ValueError("tree arrays must be non-empty and equally long")
-        for i in range(n):
-            if operator.index(tree.feature[i]) >= 0:
-                if not (i < operator.index(tree.left[i]) < n
-                        and i < operator.index(tree.right[i]) < n):
-                    raise ValueError(f"node {i} has a child outside "
-                                     f"({i}, {n})")
-            elif not 0 <= operator.index(tree.leaf_class[i]) < tree.n_classes:
-                raise ValueError(f"leaf {i} predicts class "
-                                 f"{tree.leaf_class[i]} of {tree.n_classes}")
-        return tree
 
     def _new_node(self):
         self.feature.append(-1)

@@ -168,11 +168,19 @@ def run_experiment(corpus: Corpus, vector_model: str, spec: ClassifierSpec,
                     vocab_size=vocab_size, master_seed=master_seed)[0]
 
 
+def _csv_line(cells) -> str:
+    # The writer quotes a field holding a character of its line terminator,
+    # so ending rows in "\r\n" makes it quote a lone "\r" too.
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()[:-2] + "\n"
+
+
 def results_to_csv(results: Sequence[EvalResult]) -> str:
     """Flat CSV: one row per (algorithm, vector model, class).
 
     A field is quoted only when it needs to be, e.g. a class label holding a
-    comma or a quote.
+    comma, a quote or a line break.
     """
     if not results:
         return "algorithm,vector_model,class,mean_f1\n"
@@ -180,13 +188,11 @@ def results_to_csv(results: Sequence[EvalResult]) -> str:
     header = ["algorithm", "vector_model", "class"]
     header += [f"run_{i + 1}" for i in range(n_runs)]
     header.append("mean_f1")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
+    lines = [_csv_line(header)]
     for res in results:
         for label in res.classes:
             cells = [res.algorithm, res.vector_model, label]
             cells += [f"{r.per_class[label]:.6f}" for r in res.runs]
             cells.append(f"{res.mean_f1[label]:.6f}")
-            writer.writerow(cells)
-    return out.getvalue()
+            lines.append(_csv_line(cells))
+    return "".join(lines)

@@ -1,8 +1,12 @@
 """Stratified split-half evaluation protocol and F1 scoring."""
 
+import csv
+import dataclasses
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from maiclass import evaluate
 from maiclass.classifiers import ALGORITHMS, ClassifierSpec
@@ -202,3 +206,54 @@ def test_run_grid_matches_per_cell_experiments(monkeypatch):
     assert grid == per_cell
     # Two matrices per (run, vector model), shared by every classifier.
     assert len(calls) == 2 * 2 * len(VECTOR_MODELS)
+
+
+# Three classifiers whose ties all fall to the lowest class code: k-NN's
+# vote, the tree's leaf majority and multinomial NB's argmax. Eight documents
+# per class and a three-token vocabulary keep the F1s away from 1.0, so a
+# tie broken differently would show in them.
+_RENAME_SPECS = [ClassifierSpec(algorithm=algo)
+                 for algo in ("nb_multinomial", "knn", "decision_tree")]
+
+
+@pytest.fixture(scope="module")
+def rename_baseline():
+    corpus = make_synthetic_corpus(docs_per_class=8)
+    return corpus, run_grid(corpus, VECTOR_MODELS, _RENAME_SPECS, runs=2,
+                            vocab_size=3)
+
+
+_LABEL_TEXT = st.text(alphabet=st.sampled_from(
+    [",", "|", '"', "\n", "\r", "\\", "a", "z", " ", "\u00e9", "\u0436"]),
+    min_size=1, max_size=6)
+
+
+def _parse_csv(text):
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_LABEL_TEXT, min_size=3, max_size=3, unique=True))
+# A lone "\r" once went unquoted and split its CSV row in two.
+@example(["\\", "\r", "a,\"b\"\n|"])
+def test_grid_invariant_under_order_preserving_relabel(rename_baseline,
+                                                       names):
+    # Class codes come from sorted label order, so a strictly increasing
+    # rename keeps every code, and with it every tie-break, unchanged.
+    base_corpus, base_grid = rename_baseline
+    rename = dict(zip(sorted(base_corpus.classes), sorted(names)))
+    corpus = dataclasses.replace(
+        base_corpus,
+        documents=tuple(dataclasses.replace(d, label=rename[d.label])
+                        for d in base_corpus.documents),
+        classes=tuple(rename[c] for c in base_corpus.classes))
+    grid = run_grid(corpus, VECTOR_MODELS, _RENAME_SPECS, runs=2,
+                    vocab_size=3)
+    for before, after in zip(base_grid, grid):
+        assert after.mean_f1 == {rename[label]: f1 for label, f1
+                                 in before.mean_f1.items()}
+    header, *rows = _parse_csv(results_to_csv(grid))
+    before_header, *before_rows = _parse_csv(results_to_csv(base_grid))
+    assert header == before_header
+    assert rows == [row[:2] + [rename[row[2]]] + row[3:]
+                    for row in before_rows]

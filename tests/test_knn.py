@@ -65,13 +65,3 @@ def test_k_capped_at_training_size():
 def test_k_validation():
     with pytest.raises(ValueError):
         KNeighbors(k=0)
-
-
-def test_round_trip_serialization():
-    rng = np.random.default_rng(5)
-    X = rng.normal(size=(12, 2))
-    y = rng.integers(0, 2, size=12)
-    est = KNeighbors(k=3).fit(X, y, 2)
-    clone = KNeighbors.from_dict(est.to_dict())
-    q = rng.normal(size=(6, 2))
-    assert np.array_equal(est.predict_codes(q), clone.predict_codes(q))

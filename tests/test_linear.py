@@ -90,12 +90,3 @@ def test_regularisation_strength_changes_weights():
 def test_c_validation():
     with pytest.raises(ValueError):
         LogisticRegressionOVR(c=0.0)
-
-
-def test_round_trip_serialization():
-    rng = np.random.default_rng(3)
-    X = rng.normal(size=(20, 3))
-    y = (X[:, 1] > 0).astype(int)
-    est = LogisticRegressionOVR().fit(X, y, 2)
-    clone = LogisticRegressionOVR.from_dict(est.to_dict())
-    assert np.array_equal(est.decision(X), clone.decision(X))

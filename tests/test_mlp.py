@@ -124,14 +124,6 @@ def test_predict_proba_rows_normalised():
     assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-9)
 
 
-def test_round_trip_serialization():
-    est = MlpClassifier(solver="lbfgs", hidden=10, max_iterations=30)
-    est.fit(XOR_X, XOR_Y, 2, rng=np.random.default_rng(3))
-    clone = MlpClassifier.from_dict(est.to_dict())
-    assert np.array_equal(est.predict_proba(XOR_X),
-                          clone.predict_proba(XOR_X))
-
-
 def test_adam_fit_runs_the_network_once_per_step(monkeypatch):
     rng = np.random.default_rng(8)
     X = rng.normal(size=(12, 4))

@@ -109,18 +109,6 @@ def test_posteriors_are_distributions(cls):
     assert np.allclose(post.sum(axis=1), 1.0, atol=1e-9)
 
 
-@pytest.mark.parametrize("cls", [BernoulliNaiveBayes, MultinomialNaiveBayes,
-                                 GaussianNaiveBayes])
-def test_round_trip_serialization(cls):
-    rng = np.random.default_rng(23)
-    X = rng.integers(0, 3, size=(20, 4)).astype(float)
-    y = rng.integers(0, 2, size=20)
-    est = cls()
-    est.fit(X, y, 2)
-    clone = cls.from_dict(est.to_dict())
-    assert np.array_equal(est.log_joint(X), clone.log_joint(X))
-
-
 def test_alpha_validation():
     with pytest.raises(ValueError):
         BernoulliNaiveBayes(alpha=0.0)

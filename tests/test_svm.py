@@ -77,14 +77,3 @@ def test_vote_tie_falls_back_to_confidence_then_lowest():
 def test_refuses_bad_c():
     with pytest.raises(ValueError):
         KernelSvm(c=0.0)
-
-
-def test_round_trip_serialization():
-    rng = np.random.default_rng(15)
-    X = rng.normal(size=(20, 3))
-    y = (X[:, 0] > 0).astype(int)
-    est = KernelSvm(kernel="poly", degree=2, coef0=1.0).fit(X, y, 2)
-    clone = KernelSvm.from_dict(est.to_dict())
-    q = rng.normal(size=(10, 3))
-    assert np.array_equal(est.decision_pairs(q), clone.decision_pairs(q))
-    assert np.array_equal(est.predict_codes(q), clone.predict_codes(q))

@@ -69,12 +69,3 @@ def test_deterministic_fit():
     assert a.feature == b.feature
     assert a.threshold == b.threshold
     assert a.leaf_class == b.leaf_class
-
-
-def test_round_trip_serialization():
-    tree = DecisionTree().fit(XOR_X, XOR_Y, 2)
-    clone = DecisionTree.from_dict(tree.to_dict())
-    grid = np.array([[x, z] for x in (-0.5, 0.2, 0.8, 1.5)
-                     for z in (-0.5, 0.2, 0.8, 1.5)])
-    assert np.array_equal(tree.predict_codes(grid),
-                          clone.predict_codes(grid))
