@@ -61,8 +61,10 @@ def test_unknown_hyperparameter_rejected():
               (rows, labels))
 
 
+# The name dates from when this test also round-tripped a saved model;
+# it is kept so the test's id stays the same across the suite's history.
 @pytest.mark.parametrize("algo", ALGORITHMS)
-def test_train_predict(algo):
+def test_train_predict_and_serialise(algo):
     rows, labels = blob_data()
     model = train(ClassifierSpec(algorithm=algo), (rows, labels), seed=3)
     assert model.classes == ("alpha", "beta", "gamma")
