@@ -12,7 +12,7 @@ from typing import List, Optional
 
 from .classifiers import ALGORITHMS, ClassifierSpec
 from .corpus import load_corpus, one_line, validate_corpus
-from .errors import IoError, MaiclassError, ParseError, _read_text
+from .errors import IoError, MaiclassError, _parse_number, _read_text
 from .evaluate import results_to_csv, run_grid
 from .report import (
     agreement_columns,
@@ -107,11 +107,7 @@ def _read_sample(path: str) -> List[float]:
     values: List[float] = []
     for lineno, line in enumerate(lines, start=1):
         for token in line.replace(",", " ").split():
-            try:
-                values.append(float(token))
-            except ValueError as exc:
-                raise ParseError(lineno,
-                                 f"not a number: {token!r}") from exc
+            values.append(_parse_number(token, lineno, "not a number:"))
     return values
 
 

@@ -13,7 +13,7 @@ import json
 import unicodedata
 from dataclasses import dataclass, field
 
-from .errors import DuplicateId, ParseError, _read_text
+from .errors import DuplicateId, ParseError, _read_lines
 
 NETWORKS = ("twitter", "vkontakte")
 LANGUAGES = ("en", "ru")
@@ -142,12 +142,11 @@ def load_corpus(path: str) -> Corpus:
     malformed record, including a field holding a lone surrogate escape such
     as ``\\ud800`` (it cannot be written back out as UTF-8),
     :class:`DuplicateId` on a repeated id and :class:`IoError` when the file
-    cannot be read or is not UTF-8.
+    cannot be read or is not UTF-8, before any record is parsed. Records
+    end at LF, CRLF or a lone CR, never at a raw U+2028 inside a JSON
+    string. The file is read one line at a time, so the whole decoded text
+    is never in memory at once.
     """
-    # Split on "\n" alone, as readlines() does: splitlines() would also
-    # break a record at a raw U+2028 inside a JSON string.
-    lines = _read_text(path, "corpus file").split("\n")
-
     documents: list[Document] = []
     classes: list[str] = []
     seen_ids: set[str] = set()
@@ -157,7 +156,7 @@ def load_corpus(path: str) -> Corpus:
     # lookups compare by identity.
     cleaned: dict[str, str] = {}
     pool: dict[str, str] = {}
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_read_lines(path, "corpus file"), start=1):
         if not line.strip():
             continue
         try:

@@ -1,13 +1,17 @@
-"""Exception hierarchy shared across the package, and its one file reader.
+"""Exception hierarchy shared across the package, and its input readers.
 
 Every domain failure raises a subclass of :class:`MaiclassError`, so the CLI
 can map any of them to exit code 1 while usage mistakes stay exit code 2.
 A subclass whose constructor does not take the message alone defines
 ``__reduce__`` to rebuild itself from its constructor arguments, so every
 error survives pickling (as a worker process needs) with the same message.
-Every input file is read through ``_read_text``, so an unreadable or
-non-UTF-8 file always ends as :class:`IoError`.
+Every input file is read through ``_read_text``, or, for the corpus, line
+by line through ``_read_lines`` under the same contract, so an unreadable
+or non-UTF-8 file always ends as :class:`IoError`. Every number in a
+sample file or score fixture is read through ``_parse_number``.
 """
+
+from typing import Iterator
 
 
 class MaiclassError(Exception):
@@ -33,6 +37,33 @@ def _read_text(source, what: str) -> str:
         raise IoError(f"cannot read {what} {source}: {exc}") from exc
 
 
+# Characters decoded per read while ``_read_lines`` checks a file; each read
+# holds up to 4 bytes a character while it lives.
+_CHECK_CHUNK = 1 << 13
+
+
+def _read_lines(path, what: str) -> Iterator[str]:
+    """Yield a UTF-8 text file's lines one at a time, without line ends.
+
+    The contract of :func:`_read_text`, one line in memory at a time: a
+    leading byte-order mark is dropped, and a missing or unreadable file
+    and bytes that are not UTF-8 raise :class:`IoError`. Lines end as in
+    ``_read_text(path, what).split("\\n")``: at LF, CRLF or a lone CR, not
+    at U+2028 or U+0085, and no empty last line follows a final line end.
+    The whole file is decoded once, keeping nothing, before the first line
+    is yielded, so a file that is not UTF-8 raises before any line is read.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            while fh.read(_CHECK_CHUNK):
+                pass
+            fh.seek(0)
+            for line in fh:
+                yield line[:-1] if line.endswith("\n") else line
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {what} {path}: {exc}") from exc
+
+
 class ParseError(MaiclassError):
     """A record or cell in an input file is malformed."""
 
@@ -43,6 +74,23 @@ class ParseError(MaiclassError):
 
     def __reduce__(self):
         return type(self), (self.line, self.message)
+
+
+def _parse_number(text: str, line: int, message: str) -> float:
+    """``float(text)`` for the ASCII spellings a number file holds.
+
+    ``nan``, ``inf`` and exponents read as ``float`` reads them, but a
+    digit separator (``1_0``) or any non-ASCII character, such as an
+    Arabic-Indic or fullwidth digit, raises :class:`ParseError` at ``line``
+    with ``message`` and ``text``: ``float`` would read them as a number
+    the file never meant.
+    """
+    if not text.isascii() or "_" in text:
+        raise ParseError(line, f"{message} {text!r}")
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ParseError(line, f"{message} {text!r}") from exc
 
 
 class DuplicateId(MaiclassError):

@@ -11,9 +11,9 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 import numpy as np
 
 from .classifiers import ClassifierSpec, predict, train
-from .corpus import Corpus
+from .corpus import Corpus, Document
 from .errors import ClassTooSmall, LengthMismatch, MaiclassError, RunFailure
-from .features import build_matrix, build_vocabulary
+from .features import Vocabulary, build_matrix, build_vocabulary
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,26 @@ def run_seeds(master_seed: int, run: int) -> Tuple[int, int]:
     return int(a), int(b)
 
 
+def _score_vector_model(train_docs: Sequence[Document],
+                        test_docs: Sequence[Document], gold: Sequence[str],
+                        vocab: Vocabulary, vector_model: str,
+                        specs: Sequence[ClassifierSpec], train_seed: int,
+                        classes: Sequence[str]) -> List[F1Result]:
+    """One run's F1 under ``vector_model`` for each of ``specs``, in order.
+
+    The model's train and test matrices and its last trained classifier
+    exist only inside this call, so a grid holds one (run, vector model)'s
+    matrices at a time.
+    """
+    train_m = build_matrix(train_docs, vocab, vector_model)
+    test_m = build_matrix(test_docs, vocab, vector_model)
+    scores = []
+    for spec in specs:
+        model = train(spec, train_m, seed=train_seed)
+        scores.append(f1_scores(gold, predict(model, test_m.rows), classes))
+    return scores
+
+
 def run_grid(corpus: Corpus, vector_models: Sequence[str],
              specs: Sequence[ClassifierSpec], runs: int = 5,
              vocab_size: int = 1000, master_seed: int = 0,
@@ -127,10 +147,12 @@ def run_grid(corpus: Corpus, vector_models: Sequence[str],
     Run ``r`` draws its split and training seed from
     ``run_seeds(master_seed, r)``, so all cells see the same splits (the
     paired design the U tests rely on). Each run builds its split,
-    vocabulary and gold labels once, and each (run, vector model) its two
-    matrices once; the vocabulary comes from the run's training half only,
-    so no test token information leaks into the features. Results come back
-    model-major, classifier-minor. A failure inside a run is re-raised as
+    vocabulary and gold labels once; the vocabulary comes from the run's
+    training half only, so no test token information leaks into the
+    features. Each (run, vector model) is one :func:`_score_vector_model`
+    call, which builds that model's two matrices once and frees them before
+    the next model's are built. Results come back model-major,
+    classifier-minor. A failure inside a run is re-raised as
     :class:`RunFailure` carrying the run index.
     """
     if runs < 1:
@@ -146,12 +168,11 @@ def run_grid(corpus: Corpus, vector_models: Sequence[str],
             gold = [d.label for d in test_docs]
             vocab = build_vocabulary(train_docs, vocab_size)
             for model_scores, vector_model in zip(scores, vector_models):
-                train_m = build_matrix(train_docs, vocab, vector_model)
-                test_m = build_matrix(test_docs, vocab, vector_model)
-                for cell, spec in zip(model_scores, specs):
-                    model = train(spec, train_m, seed=train_seed)
-                    predicted = predict(model, test_m.rows)
-                    cell.append(f1_scores(gold, predicted, corpus.classes))
+                run_scores = _score_vector_model(
+                    train_docs, test_docs, gold, vocab, vector_model, specs,
+                    train_seed, corpus.classes)
+                for cell, f1 in zip(model_scores, run_scores):
+                    cell.append(f1)
         except MaiclassError as exc:
             raise RunFailure(r, exc) from exc
     return [EvalResult(algorithm=spec.algorithm, vector_model=vector_model,

@@ -23,6 +23,7 @@ from .errors import (
     MissingCell,
     ParseError,
     RangeError,
+    _parse_number,
     _read_text,
 )
 from .features import VECTOR_MODELS
@@ -139,7 +140,9 @@ def load_scores(path=None) -> ScoreTable:
 
     Every one of the 3*12*3*3 = 324 cells must be present exactly once with
     a score in [0, 1]; rows with a blank score are treated as absent so the
-    gap surfaces as :class:`MissingCell`.
+    gap surfaces as :class:`MissingCell`. A score is an ASCII number as
+    ``float`` reads it; a digit separator (``1_0``) or a non-ASCII
+    character in it is a :class:`ParseError`.
     """
     source = default_scores_path() if path is None else path
     lines = _read_text(source, "score fixture").splitlines()
@@ -164,10 +167,7 @@ def load_scores(path=None) -> ScoreTable:
             raise ParseError(lineno, f"unknown interest {mai!r}")
         if not raw.strip():
             continue
-        try:
-            score = float(raw)
-        except ValueError as exc:
-            raise ParseError(lineno, f"bad score {raw!r}") from exc
+        score = _parse_number(raw, lineno, "bad score")
         if not 0.0 <= score <= 1.0:
             raise RangeError(
                 f"line {lineno}: score {score} outside [0, 1]")

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from maiclass.corpus import Corpus, Document
+from maiclass.errors import _read_text
 
 CLASS_TOKENS = {
     "football": tuple(f"foot{i:02d}" for i in range(50)),
@@ -57,6 +58,12 @@ def write_jsonl(path, records) -> str:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
     return str(path)
+
+
+def read_whole_text_lines(path, what: str):
+    """A corpus file's lines from one whole-file read, as load_corpus once
+    read them; the reference for the line reader it uses now."""
+    return _read_text(path, what).split("\n")
 
 
 @pytest.fixture(scope="session")

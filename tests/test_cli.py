@@ -10,12 +10,20 @@ import json
 import re
 import signal
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import corpus_records, make_synthetic_corpus, write_jsonl
+from conftest import (
+    corpus_records,
+    make_synthetic_corpus,
+    read_whole_text_lines,
+    write_jsonl,
+)
+from maiclass import corpus as corpus_module
 from maiclass.cli import main
+from maiclass.errors import IoError, MaiclassError
 from maiclass.report import default_scores_path
 
 # The reports `maiclass reproduce` prints for the packaged score grid, kept
@@ -352,6 +360,30 @@ def test_utest_bad_number(capsys, tmp_path):
     assert err.startswith("error: ParseError")
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff11"])
+def test_utest_rejects_python_only_number_spellings(capsys, tmp_path, token):
+    # float() reads "1_0" as 10, an Arabic-Indic or fullwidth digit as its
+    # value; a sample file means none of them.
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text(f"1\n{token} 2\n", encoding="utf-8")
+    b.write_text("3 4\n", encoding="utf-8")
+    code, out, err = run(capsys, "utest", str(a), str(b))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ParseError: line 2: not a number:")
+
+
+def test_utest_reads_nan_and_inf_spellings(capsys, tmp_path):
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text("1e0 -inf +2.5\n", encoding="utf-8")
+    b.write_text("Infinity 4\n", encoding="utf-8")
+    code, out, _ = run(capsys, "utest", str(a), str(b))
+    assert code == 0
+    assert out.startswith("U1=0.0 U2=6.0 ")
+
+
 def test_agreement_default_table(capsys):
     code, out, _ = run(capsys, "agreement")
     assert code == 0
@@ -404,6 +436,19 @@ def test_reproduce_missing_fixture(capsys, tmp_path):
                        str(tmp_path / "no.tsv"))
     assert code == 1
     assert err.startswith("error: IoError")
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff11"])
+def test_reproduce_rejects_python_only_number_spellings(capsys, tmp_path,
+                                                        token):
+    lines = default_scores_path().read_text(encoding="utf-8").splitlines()
+    lines[5] = lines[5].rsplit("\t", 1)[0] + "\t" + token
+    fixture = tmp_path / "scores.tsv"
+    fixture.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "reproduce", "--fixture", str(fixture))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ParseError: line 6: bad score")
 
 
 def test_reproduce_knn_variant(capsys):
@@ -464,6 +509,7 @@ def _fuzz_run(argv, names_printed=False):
     assert "Traceback" not in err.getvalue()
     if not names_printed:
         assert not re.search(r"\bnan\b", out.getvalue(), re.IGNORECASE)
+    return code
 
 
 def _or_any(text):
@@ -544,3 +590,75 @@ def test_fuzzed_score_fixture_ends_cleanly(fuzz_dir, fixture, fmt):
     (fuzz_dir / "scores.tsv").write_bytes(fixture)
     _fuzz_run(["reproduce", "--fixture", str(fuzz_dir / "scores.tsv"),
                "--format", fmt])
+
+
+# Corpus files: records whose strings hold a raw U+2028 or U+0085 (neither
+# ends a record), records cut short, blank and other lines, LF, CRLF or
+# lone-CR line ends, an optional BOM and final line end, and an optional
+# invalid UTF-8 sequence anywhere. Each must load as the whole-file read
+# loaded it. validate prints labels and ids as given, so NaN is allowed.
+_CORPUS_STRING = st.text(st.sampled_from(
+    list("ab Жя#!,\t\"\\") + ["\U0001F3B8", "\u2028", "\u0085", "\r", "\n"]),
+    max_size=8)
+
+
+@st.composite
+def _corpus_bytes(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["record"] * 4 + ["cut", "blank",
+                                                      "other"]))
+        if kind in ("record", "cut"):
+            record = {
+                "id": draw(st.sampled_from(["p1", "p2", "p3", "p4", "p5",
+                                            "p6", ""])),
+                "network": draw(st.sampled_from(["twitter", "vkontakte",
+                                                 "twitter", "x"])),
+                "language": draw(st.sampled_from(["en", "ru"])),
+                "label": draw(st.sampled_from(["a", "b", "a\u2028b"])),
+                "text": draw(_CORPUS_STRING),
+            }
+            line = json.dumps(record, ensure_ascii=draw(st.booleans()))
+            if kind == "cut":
+                line = line[:draw(st.integers(0, len(line) - 1))]
+            lines.append(line)
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\u2028"])))
+        else:
+            lines.append(draw(st.text(max_size=10)))
+    text = "".join(line + draw(_LINE_ENDS) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    data = text.encode("utf-8")
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        bad = draw(st.sampled_from([b"\xff", b"\x80", b"\xc3",
+                                    b"\xed\xa0\x80"]))
+        data = data[:at] + bad + data[at:]
+    return data
+
+
+def _load_outcome(path):
+    """The corpus, or the error's type and message; an IoError message
+    quotes a decoder position that depends on how the file was read."""
+    try:
+        return corpus_module.load_corpus(path)
+    except MaiclassError as exc:
+        return type(exc), "" if isinstance(exc, IoError) else str(exc)
+
+
+@_FUZZ
+@given(data=st.one_of(_corpus_bytes(), _corpus_bytes(), st.binary()))
+def test_fuzzed_corpus_reads_as_whole_text_and_ends_cleanly(fuzz_dir, data):
+    path = fuzz_dir / "corpus.jsonl"
+    path.write_bytes(data)
+    outcome = _load_outcome(str(path))
+    with mock.patch.object(corpus_module, "_read_lines",
+                           read_whole_text_lines):
+        assert outcome == _load_outcome(str(path))
+    for argv in (["validate", str(path), "--per-class", "1"],
+                 ["eval", str(path), "--model", "bernoulli", "--algo",
+                  "nb_multinomial", "--runs", "1", "--vocab", "5"]):
+        assert _fuzz_run(argv, names_printed=True) in (0, 1)

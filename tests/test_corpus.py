@@ -1,11 +1,16 @@
 """Normalization rules, corpus loading, and balance validation."""
 
 import json
+import sys
+import tracemalloc
 import unicodedata
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from maiclass import corpus as corpus_module
 from maiclass.corpus import (
     Corpus,
     Document,
@@ -16,7 +21,7 @@ from maiclass.corpus import (
 )
 from maiclass.errors import DuplicateId, IoError, ParseError
 
-from conftest import corpus_records, write_jsonl
+from conftest import corpus_records, read_whole_text_lines, write_jsonl
 
 # Mixed-script alphabet with every character class the normalizer deals
 # with: plain letters, uppercase (Latin and Cyrillic), digits, punctuation,
@@ -234,6 +239,63 @@ def test_records_split_on_newlines_only(tmp_path):
                              for r in records).encode("utf-8"))
     corpus = load_corpus(str(path))
     assert [d.id for d in corpus.documents] == ["p0", "p1"]
+
+
+@pytest.fixture(params=["line reader", "whole-text reader"])
+def either_reader(request, monkeypatch):
+    """Run a test with load_corpus's line reader, then with the whole-file
+    read it replaced; both must give the same outcome."""
+    if request.param == "whole-text reader":
+        monkeypatch.setattr(corpus_module, "_read_lines",
+                            read_whole_text_lines)
+
+
+@pytest.mark.parametrize("gap", [b"", b"\n" * 100_000],
+                         ids=["next line", "past the first block"])
+def test_bad_byte_after_bad_record_is_io_error(tmp_path, either_reader, gap):
+    # The encoding is checked before any record is parsed, so the broken
+    # JSON on line 1 does not win over the non-UTF-8 byte after it, even
+    # where that byte lies past the first block the file is read in.
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'{"bad json\n' + gap + b"\xff\n")
+    with pytest.raises(IoError):
+        load_corpus(str(path))
+
+
+def test_bom_and_lone_cr_line_ends_load_every_record(tmp_path,
+                                                     either_reader):
+    records = [{"id": f"p{i}", "network": "twitter", "language": "en",
+                "label": "l", "text": "t"} for i in range(2)]
+    path = tmp_path / "cr.jsonl"
+    path.write_bytes(b"\xef\xbb\xbf" + "".join(
+        json.dumps(r) + "\r" for r in records).encode("utf-8"))
+    assert [d.id for d in load_corpus(str(path)).documents] == ["p0", "p1"]
+
+
+def test_load_corpus_holds_one_line_at_a_time(tmp_path):
+    # Long pages from a few distinct tokens. The emoji are astral, so the
+    # decoded text takes 4 bytes a character; holding the whole of it, or
+    # a list of all its lines, during the call would show in the peak.
+    words = np.array(["матч", "goal", "\U0001F3B8rock", "веган", "#tag",
+                      "ok!", "\u26bd"])
+    rng = np.random.default_rng(0)
+    records = [{"id": f"p{i}", "network": "twitter", "language": "en",
+                "label": "ab"[i % 2], "text": " ".join(rng.choice(words, 700))}
+               for i in range(150)]
+    path = write_jsonl(tmp_path / "long.jsonl", records)
+    decoded = sys.getsizeof(Path(path).read_text(encoding="utf-8"))
+    assert decoded > 1_000_000
+    load_corpus(path)  # fill the shared normalization table untraced
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    tracemalloc.start()
+    try:
+        corpus = load_corpus(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == 150
+    assert peak - retained < decoded / 4
 
 
 @pytest.mark.parametrize("key", ["id", "network", "language", "label",

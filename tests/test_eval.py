@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io
+import weakref
 
 import numpy as np
 import pytest
@@ -206,6 +207,35 @@ def test_run_grid_matches_per_cell_experiments(monkeypatch):
     assert grid == per_cell
     # Two matrices per (run, vector model), shared by every classifier.
     assert len(calls) == 2 * 2 * len(VECTOR_MODELS)
+
+
+def test_run_grid_keeps_one_model_matrix_pair_alive(monkeypatch):
+    # Calls come in (train, test) pairs, one pair per (run, vector model).
+    # When a pair starts, every matrix of an earlier pair, and the rows a
+    # trained k-NN keeps, must already be gone.
+    corpus = make_synthetic_corpus(docs_per_class=6)
+    specs = [ClassifierSpec(algorithm=algo) for algo in ("knn",
+                                                          "nb_multinomial")]
+    build_matrix = evaluate.build_matrix
+    made = []
+    alive_counts = []
+
+    def tracked(docs, vocab, model):
+        pair = len(made) // 2
+        alive = [(p, ref) for p, ref, rows_ref in made
+                 if ref() is not None or rows_ref() is not None]
+        alive_counts.append(len(alive))
+        assert all(p == pair for p, _ in alive), \
+            f"call {len(made)}: a matrix of an earlier (run, model) is alive"
+        matrix = build_matrix(docs, vocab, model)
+        made.append((pair, weakref.ref(matrix), weakref.ref(matrix.rows)))
+        return matrix
+
+    monkeypatch.setattr(evaluate, "build_matrix", tracked)
+    run_grid(corpus, VECTOR_MODELS, specs, runs=2)
+    assert len(made) == 2 * 2 * len(VECTOR_MODELS)
+    # The pair's own train matrix, while its test matrix is built.
+    assert alive_counts == [0, 1] * 2 * len(VECTOR_MODELS)
 
 
 # Three classifiers whose ties all fall to the lowest class code: k-NN's
