@@ -12,7 +12,7 @@ from typing import List, Optional
 
 from .classifiers import ALGORITHMS, ClassifierSpec
 from .corpus import load_corpus, one_line, validate_corpus
-from .errors import IoError, MaiclassError, _parse_number, _read_text
+from .errors import IoError, MaiclassError, _parse_number, _read_lines
 from .evaluate import results_to_csv, run_grid
 from .report import (
     agreement_columns,
@@ -103,9 +103,8 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def _read_sample(path: str) -> List[float]:
-    lines = _read_text(path, "sample file").splitlines()
     values: List[float] = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_read_lines(path, "sample file"), start=1):
         for token in line.replace(",", " ").split():
             values.append(_parse_number(token, lineno, "not a number:"))
     return values

@@ -5,13 +5,15 @@ can map any of them to exit code 1 while usage mistakes stay exit code 2.
 A subclass whose constructor does not take the message alone defines
 ``__reduce__`` to rebuild itself from its constructor arguments, so every
 error survives pickling (as a worker process needs) with the same message.
-Every input file is read through ``_read_text``, or, for the corpus, line
-by line through ``_read_lines`` under the same contract, so an unreadable
-or non-UTF-8 file always ends as :class:`IoError`. Every number in a
-sample file or score fixture is read through ``_parse_number``.
+Every input file is read line by line through ``_read_lines``, so an
+unreadable or non-UTF-8 file always ends as :class:`IoError` and every
+reader counts lines the same way. Every number in a sample file or score
+fixture is read through ``_parse_number``.
 """
 
-from typing import Iterator
+import contextlib
+from importlib import resources
+from typing import Iterator, Optional
 
 
 class MaiclassError(Exception):
@@ -22,46 +24,35 @@ class IoError(MaiclassError):
     """A file could not be read or written."""
 
 
-def _read_text(source, what: str) -> str:
-    """Read a packaged resource or a filesystem path as UTF-8 text.
-
-    A leading byte-order mark is dropped. A missing or unreadable file and
-    bytes that are not UTF-8 both raise :class:`IoError`.
-    """
-    try:
-        if hasattr(source, "read_text"):
-            return source.read_text(encoding="utf-8-sig")
-        with open(source, "r", encoding="utf-8-sig") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(f"cannot read {what} {source}: {exc}") from exc
-
-
 # Characters decoded per read while ``_read_lines`` checks a file; each read
 # holds up to 4 bytes a character while it lives.
 _CHECK_CHUNK = 1 << 13
 
 
-def _read_lines(path, what: str) -> Iterator[str]:
+def _read_lines(source, what: str) -> Iterator[str]:
     """Yield a UTF-8 text file's lines one at a time, without line ends.
 
-    The contract of :func:`_read_text`, one line in memory at a time: a
-    leading byte-order mark is dropped, and a missing or unreadable file
-    and bytes that are not UTF-8 raise :class:`IoError`. Lines end as in
-    ``_read_text(path, what).split("\\n")``: at LF, CRLF or a lone CR, not
-    at U+2028 or U+0085, and no empty last line follows a final line end.
-    The whole file is decoded once, keeping nothing, before the first line
-    is yielded, so a file that is not UTF-8 raises before any line is read.
+    ``source`` is a filesystem path or a packaged resource (an
+    ``importlib.resources`` traversable). A leading byte-order mark is
+    dropped, and a missing or unreadable file and bytes that are not UTF-8
+    raise :class:`IoError`. Lines end at LF, CRLF or a lone CR only, never
+    at U+2028, U+0085, a vertical tab or a form feed (``str.splitlines``
+    would end one there and shift every later line number); no empty last
+    line follows a final line end. The whole file is decoded once, keeping nothing, before the
+    first line is yielded, so a file that is not UTF-8 raises before any
+    line is read.
     """
+    opened = resources.as_file(source) if hasattr(source, "read_text") \
+        else contextlib.nullcontext(source)
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
+        with opened as path, open(path, "r", encoding="utf-8-sig") as fh:
             while fh.read(_CHECK_CHUNK):
                 pass
             fh.seek(0)
             for line in fh:
                 yield line[:-1] if line.endswith("\n") else line
     except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(f"cannot read {what} {path}: {exc}") from exc
+        raise IoError(f"cannot read {what} {source}: {exc}") from exc
 
 
 class ParseError(MaiclassError):
@@ -145,15 +136,28 @@ class Unsupported(MaiclassError):
 
 
 class RunFailure(MaiclassError):
-    """A repeated-evaluation run failed; wraps the original error with its run index."""
+    """A repeated-evaluation run failed; wraps the original error with its run index.
 
-    def __init__(self, run: int, cause: Exception):
-        super().__init__(f"run {run}: {type(cause).__name__}: {cause}")
+    ``vector_model`` and ``algorithm`` name the grid cell the failure
+    happened in; both are ``None`` before the run reaches a vector model
+    (its split or vocabulary), and ``algorithm`` is ``None`` while the
+    model's matrices are built.
+    """
+
+    def __init__(self, run: int, cause: Exception,
+                 vector_model: Optional[str] = None,
+                 algorithm: Optional[str] = None):
+        where = ", ".join(filter(None, (vector_model, algorithm)))
+        where = f" ({where})" if where else ""
+        super().__init__(f"run {run}{where}: {type(cause).__name__}: {cause}")
         self.run = run
         self.cause = cause
+        self.vector_model = vector_model
+        self.algorithm = algorithm
 
     def __reduce__(self):
-        return type(self), (self.run, self.cause)
+        return type(self), (self.run, self.cause, self.vector_model,
+                            self.algorithm)
 
 
 class EmptySample(MaiclassError):

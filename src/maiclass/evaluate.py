@@ -11,9 +11,17 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 import numpy as np
 
 from .classifiers import ClassifierSpec, predict, train
-from .corpus import Corpus, Document
+from .corpus import Corpus
 from .errors import ClassTooSmall, LengthMismatch, MaiclassError, RunFailure
-from .features import Vocabulary, build_matrix, build_vocabulary
+from .features import (
+    DERIVE_ORDER,
+    VECTOR_MODELS,
+    InternedDocuments,
+    Vocabulary,
+    build_matrix,
+    build_vocabulary,
+    derive_matrix,
+)
 
 
 @dataclass(frozen=True)
@@ -118,23 +126,42 @@ def run_seeds(master_seed: int, run: int) -> Tuple[int, int]:
     return int(a), int(b)
 
 
-def _score_vector_model(train_docs: Sequence[Document],
-                        test_docs: Sequence[Document], gold: Sequence[str],
-                        vocab: Vocabulary, vector_model: str,
-                        specs: Sequence[ClassifierSpec], train_seed: int,
-                        classes: Sequence[str]) -> List[F1Result]:
-    """One run's F1 under ``vector_model`` for each of ``specs``, in order.
+def _score_run(run: int, train_docs: InternedDocuments,
+               test_docs: InternedDocuments, gold: Sequence[str],
+               vocab: Vocabulary,
+               vector_models: Sequence[str],
+               specs: Sequence[ClassifierSpec], train_seed: int,
+               classes: Sequence[str]) -> Dict[str, List[F1Result]]:
+    """Run ``run``'s F1 per vector model, for each of ``specs`` in order.
 
-    The model's train and test matrices and its last trained classifier
-    exist only inside this call, so a grid holds one (run, vector model)'s
-    matrices at a time.
+    The first requested model in ``DERIVE_ORDER`` gets the run's one
+    (train, test) pair of :func:`build_matrix` calls; each later one is
+    derived from the same two arrays in place. The matrices and the last
+    trained classifier exist only inside this call, so a grid holds one
+    run's pair at a time. A failure is re-raised as :class:`RunFailure`
+    naming the cell it happened in.
     """
-    train_m = build_matrix(train_docs, vocab, vector_model)
-    test_m = build_matrix(test_docs, vocab, vector_model)
-    scores = []
-    for spec in specs:
-        model = train(spec, train_m, seed=train_seed)
-        scores.append(f1_scores(gold, predict(model, test_m.rows), classes))
+    scores: Dict[str, List[F1Result]] = {}
+    vector_model = algorithm = None
+    try:
+        for vector_model in DERIVE_ORDER:
+            if vector_model not in vector_models:
+                continue
+            algorithm = None
+            if not scores:
+                train_m = build_matrix(train_docs, vocab, vector_model)
+                test_m = build_matrix(test_docs, vocab, vector_model)
+            else:
+                train_m = derive_matrix(train_m, train_docs, vector_model)
+                test_m = derive_matrix(test_m, test_docs, vector_model)
+            cell = scores[vector_model] = []
+            for spec in specs:
+                algorithm = spec.algorithm
+                model = train(spec, train_m, seed=train_seed)
+                cell.append(f1_scores(gold, predict(model, test_m.rows),
+                                      classes))
+    except MaiclassError as exc:
+        raise RunFailure(run, exc, vector_model, algorithm) from exc
     return scores
 
 
@@ -146,39 +173,46 @@ def run_grid(corpus: Corpus, vector_models: Sequence[str],
 
     Run ``r`` draws its split and training seed from
     ``run_seeds(master_seed, r)``, so all cells see the same splits (the
-    paired design the U tests rely on). Each run builds its split,
-    vocabulary and gold labels once; the vocabulary comes from the run's
-    training half only, so no test token information leaks into the
-    features. Each (run, vector model) is one :func:`_score_vector_model`
-    call, which builds that model's two matrices once and frees them before
-    the next model's are built. Results come back model-major,
+    paired design the U tests rely on). The corpus's tokens become ids
+    once per grid; each run builds its split, vocabulary and gold labels
+    once, and the vocabulary comes from the run's training half only, so
+    no test token information leaks into the features. Each run is one
+    :func:`_score_run` call, which builds one counts-based matrix pair,
+    derives the other requested models from it in place and frees it
+    before the next run's pair is built. Results come back model-major, in
+    the order of ``vector_models`` (a repeated model repeats its cells),
     classifier-minor. A failure inside a run is re-raised as
-    :class:`RunFailure` carrying the run index.
+    :class:`RunFailure` carrying the run index and, when it happened in a
+    cell, the cell's vector model and algorithm.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    scores: List[List[List[F1Result]]] = [[[] for _ in specs]
-                                          for _ in vector_models]
+    for vector_model in vector_models:
+        if vector_model not in VECTOR_MODELS:
+            raise ValueError(f"unknown vector model {vector_model!r}")
+    docs = InternedDocuments.of(corpus.documents)
+    scores: Dict[str, List[List[F1Result]]] = {
+        vector_model: [[] for _ in specs] for vector_model in vector_models}
     for r in range(runs):
         split_seed, train_seed = run_seeds(master_seed, r)
         try:
             plan = stratified_split(corpus, split_seed)
-            train_docs = [corpus.documents[i] for i in plan.train_indices]
-            test_docs = [corpus.documents[i] for i in plan.test_indices]
+            train_docs = docs.select(plan.train_indices)
+            test_docs = docs.select(plan.test_indices)
             gold = [d.label for d in test_docs]
             vocab = build_vocabulary(train_docs, vocab_size)
-            for model_scores, vector_model in zip(scores, vector_models):
-                run_scores = _score_vector_model(
-                    train_docs, test_docs, gold, vocab, vector_model, specs,
-                    train_seed, corpus.classes)
-                for cell, f1 in zip(model_scores, run_scores):
-                    cell.append(f1)
         except MaiclassError as exc:
             raise RunFailure(r, exc) from exc
+        run_scores = _score_run(r, train_docs, test_docs, gold, vocab,
+                                vector_models, specs, train_seed,
+                                corpus.classes)
+        for vector_model, model_scores in run_scores.items():
+            for cell, f1 in zip(scores[vector_model], model_scores):
+                cell.append(f1)
     return [EvalResult(algorithm=spec.algorithm, vector_model=vector_model,
                        classes=tuple(corpus.classes), runs=tuple(cell))
-            for model_scores, vector_model in zip(scores, vector_models)
-            for cell, spec in zip(model_scores, specs)]
+            for vector_model in vector_models
+            for cell, spec in zip(scores[vector_model], specs)]
 
 
 def run_experiment(corpus: Corpus, vector_model: str, spec: ClassifierSpec,

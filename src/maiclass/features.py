@@ -3,13 +3,26 @@
 ``bernoulli`` marks keyword presence with 0/1, ``plain_freq`` uses raw
 occurrence counts, and ``norm_freq`` divides each count by the document's
 total token count so every entry lands in [0, 1].
+
+Documents are counted as token ids, not strings. :class:`InternedDocuments`
+numbers the distinct tokens of a document list in lexicographic order and
+keeps every document's tokens as one flat ``int32`` id array; ``select``
+gathers a subset without looking any string up again. A vocabulary is then
+a ``bincount`` of ids, and a matrix an id -> keyword-position gather plus
+one scatter-add. :func:`build_vocabulary` and :func:`build_matrix` intern a
+plain list of documents on entry, so both kinds of input take one path.
+
+All three models come from one counts matrix. :func:`derive_matrix` turns
+a matrix into a later model of ``DERIVE_ORDER`` in place: plain counts
+into frequencies (divided by the row's length), either of them into 0/1
+presence (their sign).
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-from itertools import chain, repeat
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,6 +31,70 @@ from .corpus import Document
 from .errors import EmptyCorpus
 
 VECTOR_MODELS = ("bernoulli", "plain_freq", "norm_freq")
+# Each model is derivable in place from the rows of any model before it.
+DERIVE_ORDER = ("plain_freq", "norm_freq", "bernoulli")
+
+
+def _intern(token_seqs: Iterable[Sequence[str]]):
+    """The sorted lexicon, its token -> id map, flat ``int32`` ids, lengths."""
+    seqs = list(token_seqs)
+    lexicon = tuple(sorted(set(chain.from_iterable(seqs))))
+    index = dict(zip(lexicon, range(len(lexicon))))
+    lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
+    ids = np.fromiter(map(index.__getitem__, chain.from_iterable(seqs)),
+                      dtype=np.int32, count=int(lengths.sum()))
+    return lexicon, index, ids, lengths
+
+
+class InternedDocuments(SequenceABC):
+    """Documents whose tokens are held as ids into a shared sorted lexicon.
+
+    It is a sequence of the documents themselves, in order. ``ids`` holds
+    every document's token ids back to back and ``lengths`` each
+    document's token count; id order is the lexicographic order of the
+    tokens. Build one with :meth:`of`.
+    """
+
+    __slots__ = ("documents", "lexicon", "index", "ids", "lengths")
+
+    def __init__(self, documents: tuple[Document, ...], lexicon, index,
+                 ids: np.ndarray, lengths: np.ndarray):
+        self.documents = documents
+        self.lexicon = lexicon
+        self.index = index
+        self.ids = ids
+        self.lengths = lengths
+
+    @classmethod
+    def of(cls, docs: Sequence[Document]) -> "InternedDocuments":
+        """``docs`` as is when already interned, else interned once."""
+        if isinstance(docs, cls):
+            return docs
+        docs = tuple(docs)
+        return cls(docs, *_intern(doc.tokens for doc in docs))
+
+    def __len__(self) -> int:
+        return len(self.documents)
+
+    def __getitem__(self, i):
+        return self.documents[i]
+
+    def __iter__(self):
+        return iter(self.documents)
+
+    def select(self, indices: Sequence[int]) -> "InternedDocuments":
+        """The documents at ``indices``, in that order, sharing the lexicon."""
+        idx = np.asarray(indices, dtype=np.intp).reshape(-1)
+        lengths = self.lengths[idx]
+        starts = np.cumsum(self.lengths) - self.lengths
+        # Each gathered token's position in ``ids``: its document's start
+        # there, less that document's start in the gathered array, plus
+        # its own position in the gathered array.
+        shift = starts[idx] - (np.cumsum(lengths) - lengths)
+        take = np.repeat(shift, lengths) + np.arange(int(lengths.sum()))
+        return InternedDocuments(
+            tuple(self.documents[i] for i in idx.tolist()), self.lexicon,
+            self.index, self.ids[take], lengths)
 
 
 @dataclass(frozen=True)
@@ -26,10 +103,6 @@ class Vocabulary:
 
     tokens: tuple[str, ...]
     counts: dict[str, int]
-    # The lookups of the last two lists of token tuples vectorized against
-    # this vocabulary (a run's two halves); see ``_lookup_cells``.
-    _lookups: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
 
     @property
     def size(self) -> int:
@@ -48,87 +121,65 @@ def build_vocabulary(docs: Sequence[Document], k: int) -> Vocabulary:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    counter = Counter(chain.from_iterable(doc.tokens for doc in docs))
-    if not counter:
+    docs = InternedDocuments.of(docs)
+    counts = np.bincount(docs.ids, minlength=len(docs.lexicon))
+    # A stable sort keeps equal counts in id order, which is lexicographic.
+    top = np.argsort(-counts, kind="stable")[:k]
+    # The lexicon may be a larger list's; its tokens absent here count 0.
+    top = top[counts[top] > 0].tolist()
+    if not top:
         raise EmptyCorpus("no tokens in any document")
-    ordered = sorted(counter.items(), key=lambda item: (-item[1], item[0]))
-    top = ordered[:k]
-    return Vocabulary(tokens=tuple(tok for tok, _ in top), counts=dict(top))
+    tokens = tuple(docs.lexicon[i] for i in top)
+    return Vocabulary(tokens=tokens,
+                      counts=dict(zip(tokens, counts[top].tolist())))
 
 
-def _lookup(token_seqs: Sequence[Sequence[str]], vocab: Vocabulary,
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Row lengths and the flat cells of the in-vocabulary tokens.
-
-    Every token of every sequence is looked up in one pass. A token's flat
-    cell in the row-major (sequences x vocabulary) matrix is its row's
-    offset plus its keyword position; a token outside the vocabulary looks
-    up as -1 and is dropped.
-    """
-    n = len(token_seqs)
+def _count_rows(docs: InternedDocuments, vocab: Vocabulary) -> np.ndarray:
+    """Keyword counts, one row per document, through one scatter-add."""
+    n = len(docs.lengths)
+    position = np.full(len(docs.lexicon), -1, dtype=np.int32)
+    for pos, tok in enumerate(vocab.tokens):
+        token_id = docs.index.get(tok)
+        if token_id is not None:
+            position[token_id] = pos
     # A matrix too large for int32 cells could not be allocated anyway, but
     # the cells must not wrap.
     cell_type = np.int32 if n * vocab.size <= np.iinfo(np.int32).max \
         else np.intp
-    index = vocab.index()
-    lengths = np.fromiter(map(len, token_seqs), dtype=np.intp, count=n)
-    positions = np.fromiter(
-        map(index.get, chain.from_iterable(token_seqs), repeat(-1)),
-        dtype=cell_type, count=int(lengths.sum()))
-    cells = np.repeat(np.arange(n, dtype=cell_type) * vocab.size, lengths)
-    cells += positions
-    return lengths, cells[positions >= 0]
-
-
-def _lookup_cells(token_seqs: Sequence[Sequence[str]], vocab: Vocabulary,
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """``_lookup``, remembered on ``vocab`` for lists of token tuples.
-
-    The three vector models of one run vectorize the same two halves, so
-    each half is looked up once. A list matches a remembered one only when
-    every tuple is the identical object: the memo is keyed by the tuples'
-    ids and holds the tuples, so those ids cannot be reused. Lists holding
-    a mutable sequence are never remembered, and the memo keeps at most
-    two lists, dropping the older.
-    """
-    if not all(type(seq) is tuple for seq in token_seqs):
-        return _lookup(token_seqs, vocab)
-    memo = vocab._lookups
-    key = tuple(map(id, token_seqs))
-    if key in memo:
-        return memo[key][1:]
-    lengths, cells = _lookup(token_seqs, vocab)
-    lengths.flags.writeable = cells.flags.writeable = False
-    if len(memo) == 2:
-        del memo[next(iter(memo))]
-    memo[key] = (tuple(token_seqs), lengths, cells)
-    return lengths, cells
-
-
-def _vectorize_rows(token_seqs: Sequence[Sequence[str]], vocab: Vocabulary,
-                    model: str) -> np.ndarray:
-    """One row per token sequence, its hits added through one scatter-add."""
-    if model not in VECTOR_MODELS:
-        raise ValueError(f"unknown vector model {model!r}")
-    if vocab.size == 0:
-        raise ValueError("vocabulary is empty")
-    lengths, cells = _lookup_cells(token_seqs, vocab)
-    rows = np.zeros((len(token_seqs), vocab.size), dtype=np.float64)
+    positions = position[docs.ids]
+    hit = positions >= 0
+    cells = np.repeat(np.arange(n, dtype=cell_type) * vocab.size,
+                      docs.lengths)[hit]
+    cells += positions[hit]
+    rows = np.zeros((n, vocab.size), dtype=np.float64)
     # Counts are small integers, exact in float64 in any summation order.
     np.add.at(rows.reshape(-1), cells, 1.0)
-    if model == "bernoulli":
-        # Counts are non-negative integers, so this is (count > 0) as 0/1.
-        np.minimum(rows, 1.0, out=rows)
-    elif model == "norm_freq":
-        # A document without tokens has an all-zero row; dividing it by 1
-        # leaves it as it is.
-        rows /= np.maximum(lengths, 1)[:, None]
     return rows
 
 
+def _to_model(rows: np.ndarray, lengths: np.ndarray, model: str) -> None:
+    """Turn ``rows`` into ``model`` in place.
+
+    ``rows`` hold counts, or for ``bernoulli`` any non-negative rows with
+    the counts' zeros, such as frequencies.
+    """
+    if model == "norm_freq":
+        # A document without tokens has an all-zero row; dividing it by 1
+        # leaves it as it is.
+        rows /= np.maximum(lengths, 1)[:, None]
+    elif model == "bernoulli":
+        # 1.0 where a keyword occurs, else 0.0: (count > 0) as 0/1.
+        np.sign(rows, out=rows)
+
+
 def vectorize(tokens: Iterable[str], vocab: Vocabulary, model: str) -> np.ndarray:
-    """Map a token sequence to a vector of length ``vocab.size``."""
-    return _vectorize_rows([list(tokens)], vocab, model)[0]
+    """Map a token sequence to a vector of length ``vocab.size``.
+
+    The one-row case of :func:`build_matrix`.
+    """
+    doc = Document(id="", network="", language="", label="", raw_text="",
+                   tokens=tuple(tokens))
+    return build_matrix([doc], vocab, model).rows[0]
 
 
 @dataclass(frozen=True)
@@ -153,8 +204,28 @@ def build_matrix(docs: Sequence[Document], vocab: Vocabulary, model: str) -> Fea
     """Vectorize every document under ``model``, preserving order."""
     if not docs:
         raise EmptyCorpus("no documents to vectorize")
-    rows = _vectorize_rows([doc.tokens for doc in docs], vocab, model)
+    if model not in VECTOR_MODELS:
+        raise ValueError(f"unknown vector model {model!r}")
+    if vocab.size == 0:
+        raise ValueError("vocabulary is empty")
+    docs = InternedDocuments.of(docs)
+    rows = _count_rows(docs, vocab)
+    _to_model(rows, docs.lengths, model)
     return FeatureMatrix(
         model=model, vocab=vocab, rows=rows, labels=tuple(doc.label for doc in docs)
     )
 
+
+def derive_matrix(matrix: FeatureMatrix, docs: InternedDocuments,
+                  model: str) -> FeatureMatrix:
+    """``matrix`` of ``docs`` turned into ``model`` in place, same rows array.
+
+    ``model`` must come after ``matrix.model`` in ``DERIVE_ORDER``; the
+    result holds the bytes ``build_matrix(docs, matrix.vocab, model)``
+    would, and ``matrix`` no longer holds its own model's values.
+    """
+    if model not in DERIVE_ORDER or \
+            DERIVE_ORDER.index(model) <= DERIVE_ORDER.index(matrix.model):
+        raise ValueError(f"cannot derive {model!r} from {matrix.model!r}")
+    _to_model(matrix.rows, docs.lengths, model)
+    return replace(matrix, model=model)

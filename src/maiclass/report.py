@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
     RangeError,
     _parse_number,
-    _read_text,
+    _read_lines,
 )
 from .features import VECTOR_MODELS
 from .stats import UTestResult, describe, mann_whitney_u, percent_agreement
@@ -145,12 +145,13 @@ def load_scores(path=None) -> ScoreTable:
     character in it is a :class:`ParseError`.
     """
     source = default_scores_path() if path is None else path
-    lines = _read_text(source, "score fixture").splitlines()
-    if not lines or tuple(lines[0].split("\t")) != _HEADER:
+    lines = _read_lines(source, "score fixture")
+    header = next(lines, None)
+    if header is None or tuple(header.split("\t")) != _HEADER:
         raise ParseError(1, "expected header "
                             "'model\\tclassifier\\tcorpus\\tmai\\tscore'")
     cells: Dict[Tuple[str, str, str, str], float] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -187,14 +188,14 @@ def load_scores(path=None) -> ScoreTable:
 def _read_agreement(path) -> Tuple[List[str], List[List[int]]]:
     """Column names and 0/1 vote rows of an expert-vote CSV."""
     source = expert_agreement_path() if path is None else path
-    text = _read_text(source, "agreement table")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(lineno, line) for lineno, line in enumerate(
+        _read_lines(source, "agreement table"), start=1) if line.strip()]
     if len(lines) < 2:
         raise EmptyTable("agreement table needs a header and one vote row")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     width = len(header)
     rows: List[List[int]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != width:
             raise ParseError(lineno,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from maiclass.corpus import Corpus, Document
-from maiclass.errors import _read_text
+from maiclass.errors import IoError
 
 CLASS_TOKENS = {
     "football": tuple(f"foot{i:02d}" for i in range(50)),
@@ -63,7 +63,11 @@ def write_jsonl(path, records) -> str:
 def read_whole_text_lines(path, what: str):
     """A corpus file's lines from one whole-file read, as load_corpus once
     read them; the reference for the line reader it uses now."""
-    return _read_text(path, what).split("\n")
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {what} {path}: {exc}") from exc
 
 
 @pytest.fixture(scope="session")

@@ -374,6 +374,19 @@ def test_utest_rejects_python_only_number_spellings(capsys, tmp_path, token):
     assert err.startswith("error: ParseError: line 2: not a number:")
 
 
+def test_utest_names_the_line_a_line_separator_sits_on(capsys, tmp_path):
+    # U+2028 separates numbers as any whitespace does, but it does not end
+    # a line: the bad token is on line 1 of a one-line file.
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text("1 2\u20283 x", encoding="utf-8")
+    b.write_text("3 4\n", encoding="utf-8")
+    code, out, err = run(capsys, "utest", str(a), str(b))
+    assert code == 1
+    assert out == ""
+    assert err == "error: ParseError: line 1: not a number: 'x'\n"
+
+
 def test_utest_reads_nan_and_inf_spellings(capsys, tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
@@ -390,6 +403,15 @@ def test_agreement_default_table(capsys):
     assert out.splitlines() == ["rock,50", "reenactment,100",
                                 "football,100", "vegetarianism,100",
                                 "control,90"]
+
+
+def test_agreement_names_the_file_line_past_blank_lines(capsys, tmp_path):
+    table = tmp_path / "votes.csv"
+    table.write_text("a,b\n\n1,0\n\f\n1,2\n", encoding="utf-8")
+    code, out, err = run(capsys, "agreement", str(table))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ParseError: line 5: votes must be 0 or 1")
 
 
 def test_agreement_custom_table(capsys, tmp_path):
@@ -451,6 +473,19 @@ def test_reproduce_rejects_python_only_number_spellings(capsys, tmp_path,
     assert err.startswith("error: ParseError: line 6: bad score")
 
 
+def test_reproduce_fixture_header_ending_in_vertical_tab(capsys, tmp_path):
+    # A vertical tab does not end the header line; the header is then not
+    # the expected one, on line 1.
+    lines = default_scores_path().read_text(encoding="utf-8").split("\n")
+    lines[0] += "\x0b"
+    fixture = tmp_path / "scores.tsv"
+    fixture.write_text("\n".join(lines), encoding="utf-8")
+    code, out, err = run(capsys, "reproduce", "--fixture", str(fixture))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ParseError: line 1: expected header")
+
+
 def test_reproduce_knn_variant(capsys):
     # The reproduction is fixed: no flag moves it off the published numbers.
     for flags in (("--knn", "normalized"), ("--continuity",)):
@@ -468,6 +503,22 @@ def test_small_corpus_eval_reports_domain_error(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error: RunFailure")
     assert "ClassTooSmall" in err
+
+
+def test_eval_failure_names_the_failing_cell(capsys, tmp_path):
+    # With one keyword, carried the same number of times by every document,
+    # Gaussian NB sees a constant feature under every vector model; the
+    # first model scored is plain_freq.
+    corpus = make_synthetic_corpus(docs_per_class=6)
+    records = [dict(record, text=record["text"] + " common" * 12)
+               for record in corpus_records(corpus)]
+    path = write_jsonl(tmp_path / "common.jsonl", records)
+    code, out, err = run(capsys, "eval", str(path), "--vocab", "1",
+                         "--runs", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: RunFailure: run 0 (plain_freq, nb_gaussian):"
+                          " NumericalFailure: ")
 
 
 def test_exit_codes_are_ints(capsys, corpus_jsonl_path):
@@ -662,3 +713,86 @@ def test_fuzzed_corpus_reads_as_whole_text_and_ends_cleanly(fuzz_dir, data):
                  ["eval", str(path), "--model", "bernoulli", "--algo",
                   "nb_multinomial", "--runs", "1", "--vocab", "5"]):
         assert _fuzz_run(argv, names_printed=True) in (0, 1)
+
+
+# A ParseError's line number counts lines ended by LF, CRLF or a lone CR
+# only. The other characters str.splitlines() ends a line at sit inside
+# lines here, as separators between numbers and as whitespace-only lines.
+# No line is empty, so a lone CR never meets the LF of the next line.
+_INLINE_SPACE = st.sampled_from([" ", "\t", "\u2028", "\u2029", "\x0b",
+                                 "\x0c", "\x1c", "\x1e", "\x85"])
+_BLANK = st.lists(_INLINE_SPACE, min_size=1, max_size=3).map("".join)
+
+
+def _file_lines(draw, lines):
+    """``lines`` joined by drawn line ends, with or without a final one."""
+    ends = draw(st.lists(_LINE_ENDS, min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text[:-len(ends[-1])]
+
+
+def _insert_blanks(draw, lines, start):
+    """Whitespace-only lines put between ``lines[start:]``."""
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(start, len(lines))), draw(_BLANK))
+
+
+@st.composite
+def _sample_with_bad_token(draw):
+    lines = [draw(_INLINE_SPACE).join(draw(st.lists(
+        st.sampled_from(["1", "-2", "3.5", "nan"]), min_size=1, max_size=3)))
+        for _ in range(draw(st.integers(0, 4)))]
+    _insert_blanks(draw, lines, 0)
+    at = draw(st.integers(0, len(lines)))
+    lines.insert(at, "1" + draw(_INLINE_SPACE) + "x")
+    return _file_lines(draw, lines), at + 1
+
+
+@st.composite
+def _votes_with_bad_cell(draw):
+    lines = ["a,b"] + draw(st.lists(st.sampled_from(["0,1", "1,1", "1,0"]),
+                                    min_size=1, max_size=4))
+    _insert_blanks(draw, lines, 1)
+    at = draw(st.integers(1, len(lines)))
+    lines.insert(at, "1,2")
+    return _file_lines(draw, lines), at + 1
+
+
+@st.composite
+def _scores_with_bad_score(draw):
+    lines = default_scores_path().read_text(encoding="utf-8").split("\n")
+    lines = [line for line in lines if line]
+    row = draw(st.integers(1, len(lines) - 1))
+    lines[row] = lines[row].rsplit("\t", 1)[0] + "\tx"
+    _insert_blanks(draw, lines, 1)
+    return _file_lines(draw, lines), lines.index(
+        next(line for line in lines if line.endswith("\tx"))) + 1
+
+
+def _error_of(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.one_of(
+    _sample_with_bad_token().map(lambda c: ("utest", "'x'") + c),
+    _votes_with_bad_cell().map(lambda c: ("agreement", "'2'") + c),
+    _scores_with_bad_score().map(lambda c: ("reproduce", "'x'") + c)))
+def test_parse_error_names_the_line_holding_the_bad_token(fuzz_dir, case):
+    command, token, text, line = case
+    path = fuzz_dir / "input.txt"
+    path.write_bytes(text.encode("utf-8"))
+    (fuzz_dir / "other.txt").write_text("3 4\n", encoding="utf-8")
+    argv = {"utest": ["utest", str(path), str(fuzz_dir / "other.txt")],
+            "agreement": ["agreement", str(path)],
+            "reproduce": ["reproduce", "--fixture", str(path)]}[command]
+    code, err = _error_of(argv)
+    assert code == 1
+    assert err.startswith(f"error: ParseError: line {line}: ")
+    assert err.rstrip("\n").endswith(token)
+    assert token.strip("'") in re.split(r"\r\n|\r|\n", text)[line - 1]

@@ -17,11 +17,13 @@ EXAMPLE_ARGS = {
     errors.ParseError: (3, "missing field 'id'"),
     errors.DuplicateId: ("x",),
     errors.ClassTooSmall: ("rock", 1),
-    errors.RunFailure: (2, errors.ClassTooSmall("rock", 1)),
+    errors.RunFailure: (2, errors.ClassTooSmall("rock", 1), "bernoulli",
+                        "knn"),
     errors.MissingCell: ("bernoulli", "knn", "twitter_en", "music"),
 }
 
-ATTRIBUTES = ("line", "label", "size", "run", "key", "doc_id")
+ATTRIBUTES = ("line", "label", "size", "run", "key", "doc_id",
+              "vector_model", "algorithm")
 
 
 @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
@@ -41,3 +43,17 @@ def test_run_failure_keeps_its_cause_through_pickling():
     assert type(clone.cause) is errors.ParseError
     assert clone.cause.line == 7
     assert str(clone) == "run 4: ParseError: line 7: invalid JSON"
+
+
+def test_run_failure_names_its_cell():
+    cause = errors.NumericalFailure("a feature variance is 0")
+    clone = pickle.loads(pickle.dumps(
+        errors.RunFailure(1, cause, "norm_freq", "nb_gaussian")))
+    assert (clone.vector_model, clone.algorithm) == ("norm_freq",
+                                                     "nb_gaussian")
+    assert str(clone) == ("run 1 (norm_freq, nb_gaussian): NumericalFailure:"
+                          " a feature variance is 0")
+    building = errors.RunFailure(3, cause, "bernoulli")
+    assert str(building) == "run 3 (bernoulli): NumericalFailure: " \
+        "a feature variance is 0"
+    assert building.algorithm is None

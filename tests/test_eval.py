@@ -148,6 +148,12 @@ def test_run_experiment_rejects_zero_runs(synthetic_corpus):
                        ClassifierSpec(algorithm="knn"), runs=0)
 
 
+def test_run_grid_rejects_unknown_vector_model(synthetic_corpus):
+    with pytest.raises(ValueError, match="tfidf"):
+        run_grid(synthetic_corpus, ["bernoulli", "tfidf"],
+                 [ClassifierSpec(algorithm="knn")], runs=1)
+
+
 def test_failures_are_wrapped_with_run_index():
     # Tokenless documents leave nothing to build a vocabulary from, so the
     # first run must fail and carry its index.
@@ -160,6 +166,8 @@ def test_failures_are_wrapped_with_run_index():
         run_experiment(corpus, "bernoulli",
                        ClassifierSpec(algorithm="knn"), runs=2)
     assert err.value.run == 0
+    # The vocabulary is built before any cell, so no cell is named.
+    assert err.value.vector_model is None and err.value.algorithm is None
     assert "EmptyCorpus" in str(err.value)
 
 
@@ -205,14 +213,53 @@ def test_run_grid_matches_per_cell_experiments(monkeypatch):
     grid = run_grid(corpus, VECTOR_MODELS, specs, runs=2, master_seed=3)
     assert results_to_csv(grid) == results_to_csv(per_cell)
     assert grid == per_cell
-    # Two matrices per (run, vector model), shared by every classifier.
-    assert len(calls) == 2 * 2 * len(VECTOR_MODELS)
+    # Two matrices per run, counted once: the other models are derived
+    # from them in place.
+    assert calls == ["plain_freq"] * 2 * 2
+
+
+_CELL_SPECS = [ClassifierSpec(algorithm=algo)
+               for algo in ("nb_multinomial", "knn", "decision_tree")]
+
+
+@pytest.fixture(scope="module")
+def per_cell_grid():
+    """``run_experiment`` per (vector model, vocabulary size, spec), memoized."""
+    corpus = make_synthetic_corpus(docs_per_class=6)
+    cells = {}
+
+    def cell(model, vocab_size, spec):
+        key = (model, vocab_size, spec.algorithm)
+        if key not in cells:
+            cells[key] = run_experiment(corpus, model, spec, runs=2,
+                                        vocab_size=vocab_size, master_seed=5)
+        return cells[key]
+
+    return corpus, cell
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from(VECTOR_MODELS), min_size=1, max_size=5),
+       st.integers(1, 40))
+def test_run_grid_over_any_model_list_matches_per_cell_experiments(
+        per_cell_grid, models, vocab_size):
+    # Any order or subset of the models, repeats included: the grid derives
+    # later models from earlier ones in place, a lone cell builds its model
+    # directly. Small vocabularies make tied counts decide the keywords.
+    corpus, cell = per_cell_grid
+    grid = run_grid(corpus, models, _CELL_SPECS, runs=2,
+                    vocab_size=vocab_size, master_seed=5)
+    per_cell = [cell(model, vocab_size, spec)
+                for model in models for spec in _CELL_SPECS]
+    assert grid == per_cell
+    assert results_to_csv(grid) == results_to_csv(per_cell)
 
 
 def test_run_grid_keeps_one_model_matrix_pair_alive(monkeypatch):
-    # Calls come in (train, test) pairs, one pair per (run, vector model).
-    # When a pair starts, every matrix of an earlier pair, and the rows a
-    # trained k-NN keeps, must already be gone.
+    # Calls come in (train, test) pairs, one pair per run; every vector
+    # model of the run is derived from that pair. When a pair starts, every
+    # matrix of an earlier run, and the rows a trained k-NN keeps, must
+    # already be gone.
     corpus = make_synthetic_corpus(docs_per_class=6)
     specs = [ClassifierSpec(algorithm=algo) for algo in ("knn",
                                                           "nb_multinomial")]
@@ -226,16 +273,16 @@ def test_run_grid_keeps_one_model_matrix_pair_alive(monkeypatch):
                  if ref() is not None or rows_ref() is not None]
         alive_counts.append(len(alive))
         assert all(p == pair for p, _ in alive), \
-            f"call {len(made)}: a matrix of an earlier (run, model) is alive"
+            f"call {len(made)}: a matrix of an earlier run is alive"
         matrix = build_matrix(docs, vocab, model)
         made.append((pair, weakref.ref(matrix), weakref.ref(matrix.rows)))
         return matrix
 
     monkeypatch.setattr(evaluate, "build_matrix", tracked)
     run_grid(corpus, VECTOR_MODELS, specs, runs=2)
-    assert len(made) == 2 * 2 * len(VECTOR_MODELS)
+    assert len(made) == 2 * 2
     # The pair's own train matrix, while its test matrix is built.
-    assert alive_counts == [0, 1] * 2 * len(VECTOR_MODELS)
+    assert alive_counts == [0, 1] * 2
 
 
 # Three classifiers whose ties all fall to the lowest class code: k-NN's

@@ -1,20 +1,25 @@
 """Vocabulary construction and the three bag-of-words vector models."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from maiclass import evaluate, features
 from maiclass.classifiers import ClassifierSpec
 from maiclass.corpus import Document
 from maiclass.errors import EmptyCorpus
 from maiclass.evaluate import run_grid
 from maiclass.features import (
+    DERIVE_ORDER,
     VECTOR_MODELS,
+    InternedDocuments,
     Vocabulary,
     build_matrix,
     build_vocabulary,
+    derive_matrix,
     vectorize,
 )
 
@@ -216,16 +221,16 @@ def test_vector_models_constant():
 
 
 @pytest.fixture
-def lookups(monkeypatch):
-    """Count the keyword-index lookup passes (one ``Vocabulary.index`` each)."""
+def interns(monkeypatch):
+    """Count the token -> id passes (one ``features._intern`` call each)."""
     calls = []
-    index = Vocabulary.index
+    intern = features._intern
 
-    def counted(self):
-        calls.append(self)
-        return index(self)
+    def counted(token_seqs):
+        calls.append(token_seqs)
+        return intern(token_seqs)
 
-    monkeypatch.setattr(Vocabulary, "index", counted)
+    monkeypatch.setattr(features, "_intern", counted)
     return calls
 
 
@@ -234,63 +239,148 @@ def _memo_docs():
     return [doc("x", toks, id=str(i)) for i, toks in enumerate(seqs)]
 
 
-def test_three_models_share_one_lookup_pass(lookups):
-    docs = _memo_docs()
+def test_three_models_share_one_lookup_pass(interns):
+    docs = InternedDocuments.of(_memo_docs())
     vocab = build_vocabulary(docs, 3)
-    rows = {model: build_matrix(docs, vocab, model).rows
-            for model in VECTOR_MODELS}
-    assert len(lookups) == 1
+    matrix = build_matrix(docs, vocab, DERIVE_ORDER[0])
+    rows = {matrix.model: matrix.rows.copy()}
+    for model in DERIVE_ORDER[1:]:
+        derived = derive_matrix(matrix, docs, model)
+        assert derived.rows is matrix.rows
+        assert (derived.model, derived.labels) == (model, matrix.labels)
+        rows[model] = derived.rows.copy()
+        matrix = derived
+    assert len(interns) == 1
     seqs = [d.tokens for d in docs]
     for model in VECTOR_MODELS:
         assert rows[model].tobytes() \
             == per_row_matrix(seqs, vocab, model).tobytes()
 
 
-def test_same_length_list_of_other_tuples_is_looked_up_again(lookups):
+def test_derive_matrix_only_moves_forward():
+    docs = InternedDocuments.of(_memo_docs())
+    vocab = build_vocabulary(docs, 3)
+    for i, start in enumerate(DERIVE_ORDER):
+        for model in DERIVE_ORDER[:i + 1] + ("tfidf",):
+            matrix = build_matrix(docs, vocab, start)
+            before = matrix.rows.tobytes()
+            with pytest.raises(ValueError):
+                derive_matrix(matrix, docs, model)
+            assert matrix.rows.tobytes() == before
+
+
+def test_same_length_list_of_other_tuples_is_looked_up_again(interns):
     docs = _memo_docs()
     vocab = build_vocabulary(docs, 3)
     build_matrix(docs, vocab, "plain_freq")
     # Same first tuple and length, then equal but distinct tuples, then
-    # other tokens: none of it may come from the first list's lookup.
+    # other tokens: a plain list is interned afresh on every call, so none
+    # of it may come from the first list's ids.
     others = [docs[0]] + [doc("x", list(d.tokens), id=d.id)
                           for d in docs[1:3]] \
         + [doc("x", ["a"], id="8"), doc("x", ["c", "c"], id="9")]
     rows = build_matrix(others, vocab, "plain_freq").rows
-    assert len(lookups) == 2
-    # Both lists are remembered now.
-    build_matrix(docs, vocab, "bernoulli")
-    build_matrix(others, vocab, "norm_freq")
-    assert len(lookups) == 2
+    assert len(interns) == 3
     assert rows.tobytes() == per_row_matrix(
         [d.tokens for d in others], vocab, "plain_freq").tobytes()
 
 
-def test_memo_keeps_at_most_two_lists():
-    docs = _memo_docs()
-    vocab = build_vocabulary(docs, 3)
-    for _ in range(100):
-        vectorize(["a", "c"], vocab, "plain_freq")
-    assert vocab._lookups == {}
-    for i in range(len(docs)):
-        build_matrix(docs[i:], vocab, "bernoulli")
-    assert len(vocab._lookups) == 2
-
-
-def test_memo_leaves_equality_and_repr_alone():
+def test_vocabulary_holds_no_state_between_calls():
     docs = _memo_docs()
     vocab = build_vocabulary(docs, 3)
     fresh = build_vocabulary(docs, 3)
     text = repr(vocab)
-    build_matrix(docs, vocab, "norm_freq")
-    assert vocab._lookups
+    state = dict(vars(vocab))
+    for _ in range(100):
+        vectorize(["a", "c"], vocab, "plain_freq")
+    for i in range(len(docs)):
+        build_matrix(docs[i:], vocab, "bernoulli")
+        build_matrix(InternedDocuments.of(docs[i:]), vocab, "norm_freq")
+    assert [f.name for f in dataclasses.fields(vocab)] == ["tokens", "counts"]
+    assert vars(vocab) == state
     assert vocab == fresh
     assert repr(vocab) == text == repr(fresh)
-    assert "_lookups" not in text
 
 
-def test_run_grid_looks_each_half_up_once(lookups):
+def test_interned_half_gives_the_plain_list_vocabulary_and_rows():
+    # The half's lexicon is the whole list's, so it holds tokens the half
+    # lacks ("c", "zz"); they must count 0 and never reach the vocabulary.
+    docs = _memo_docs()
+    whole = InternedDocuments.of(docs)
+    half = whole.select([4, 0, 1])
+    plain = [docs[4], docs[0], docs[1]]
+    assert len(half) == 3 and list(half) == plain and half[1] is docs[0]
+    assert half.lexicon is whole.lexicon
+    assert [half.lexicon[i] for i in half.ids.tolist()] \
+        == ["b", "a", "b", "a"]
+    vocab = build_vocabulary(half, 3)
+    assert vocab == build_vocabulary(plain, 3)
+    assert repr(vocab) == repr(build_vocabulary(plain, 3))
+    assert vocab.tokens == ("a", "b")
+    for model in VECTOR_MODELS:
+        matrix = build_matrix(half, vocab, model)
+        assert matrix.rows.tobytes() \
+            == build_matrix(plain, vocab, model).rows.tobytes()
+        assert matrix.labels == tuple(d.label for d in plain)
+    assert len(whole.select([])) == 0
+
+
+def test_run_grid_looks_each_half_up_once(interns, monkeypatch):
+    # The corpus's tokens become ids once per grid; each run's halves are
+    # gathered from those ids, and its models derived from one pair.
     corpus = make_synthetic_corpus(docs_per_class=6)
     runs = 3
-    run_grid(corpus, VECTOR_MODELS, [ClassifierSpec(algorithm="nb_multinomial")],
-             runs=runs, master_seed=1)
-    assert len(lookups) == 2 * runs
+    built = []
+    build = evaluate.build_matrix
+
+    def counted(docs, vocab, model):
+        assert isinstance(docs, InternedDocuments)
+        built.append(model)
+        return build(docs, vocab, model)
+
+    monkeypatch.setattr(evaluate, "build_matrix", counted)
+    run_grid(corpus, VECTOR_MODELS,
+             [ClassifierSpec(algorithm="nb_multinomial")], runs=runs,
+             master_seed=1)
+    assert len(interns) == 1
+    assert built == ["plain_freq"] * 2 * runs
+
+
+# Tokens "y" and "z" never occur in the half the vocabulary is built from,
+# so they are out of vocabulary wherever they appear.
+_half_token = st.text(alphabet=st.sampled_from("abcd"), min_size=1,
+                      max_size=2)
+_other_token = st.text(alphabet=st.sampled_from("abyz"), min_size=1,
+                       max_size=2)
+
+
+@given(st.lists(st.lists(_half_token, max_size=10), min_size=1, max_size=6)
+       .filter(lambda docs: any(docs)),
+       st.lists(st.lists(_other_token, max_size=6), max_size=4),
+       st.integers(1, 6), st.randoms(use_true_random=False))
+def test_derived_and_interned_rows_match_build_matrix(half_tokens,
+                                                      other_tokens, k, rnd):
+    # Empty documents, tokens outside the vocabulary, tied counts and k
+    # below the number of distinct tokens all occur among the examples.
+    docs = [doc("x", toks, id=str(i))
+            for i, toks in enumerate(half_tokens + other_tokens)]
+    order = list(range(len(docs)))
+    rnd.shuffle(order)
+    whole = InternedDocuments.of([docs[i] for i in order])
+    half_at = [order.index(i) for i in range(len(half_tokens))]
+    half = whole.select(half_at)
+    plain = docs[:len(half_tokens)]
+    vocab = build_vocabulary(plain, k)
+    assert build_vocabulary(half, k) == vocab \
+        == per_document_vocabulary(plain, k)
+    every = whole.select([order.index(i) for i in range(len(docs))])
+    for first_at, first in enumerate(DERIVE_ORDER):
+        for interned, listed in ((half, plain), (every, docs)):
+            matrix = build_matrix(interned, vocab, first)
+            assert matrix.rows.tobytes() == build_matrix(
+                listed, vocab, first).rows.tobytes() == per_row_matrix(
+                    [d.tokens for d in listed], vocab, first).tobytes()
+            for model in DERIVE_ORDER[first_at + 1:]:
+                matrix = derive_matrix(matrix, interned, model)
+                assert matrix.rows.tobytes() == build_matrix(
+                    listed, vocab, model).rows.tobytes()
