@@ -38,9 +38,9 @@ def _read_lines(source, what: str) -> Iterator[str]:
     raise :class:`IoError`. Lines end at LF, CRLF or a lone CR only, never
     at U+2028, U+0085, a vertical tab or a form feed (``str.splitlines``
     would end one there and shift every later line number); no empty last
-    line follows a final line end. The whole file is decoded once, keeping nothing, before the
-    first line is yielded, so a file that is not UTF-8 raises before any
-    line is read.
+    line follows a final line end. The whole file is decoded once, keeping
+    nothing, before the first line is yielded, so a file that is not UTF-8
+    raises before any line is read.
     """
     opened = resources.as_file(source) if hasattr(source, "read_text") \
         else contextlib.nullcontext(source)
