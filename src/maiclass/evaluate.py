@@ -127,8 +127,7 @@ def run_seeds(master_seed: int, run: int) -> Tuple[int, int]:
 
 
 def _score_run(run: int, train_docs: InternedDocuments,
-               test_docs: InternedDocuments, gold: Sequence[str],
-               vocab: Vocabulary,
+               test_docs: InternedDocuments, vocab: Vocabulary,
                vector_models: Sequence[str],
                specs: Sequence[ClassifierSpec], train_seed: int,
                classes: Sequence[str]) -> Dict[str, List[F1Result]]:
@@ -141,6 +140,7 @@ def _score_run(run: int, train_docs: InternedDocuments,
     run's pair at a time. A failure is re-raised as :class:`RunFailure`
     naming the cell it happened in.
     """
+    gold = [d.label for d in test_docs]
     scores: Dict[str, List[F1Result]] = {}
     vector_model = algorithm = None
     try:
@@ -199,11 +199,10 @@ def run_grid(corpus: Corpus, vector_models: Sequence[str],
             plan = stratified_split(corpus, split_seed)
             train_docs = docs.select(plan.train_indices)
             test_docs = docs.select(plan.test_indices)
-            gold = [d.label for d in test_docs]
             vocab = build_vocabulary(train_docs, vocab_size)
         except MaiclassError as exc:
             raise RunFailure(r, exc) from exc
-        run_scores = _score_run(r, train_docs, test_docs, gold, vocab,
+        run_scores = _score_run(r, train_docs, test_docs, vocab,
                                 vector_models, specs, train_seed,
                                 corpus.classes)
         for vector_model, model_scores in run_scores.items():

@@ -20,10 +20,9 @@ presence (their sign).
 
 from __future__ import annotations
 
-from collections.abc import Sequence as SequenceABC
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -46,7 +45,7 @@ def _intern(token_seqs: Iterable[Sequence[str]]):
     return lexicon, index, ids, lengths
 
 
-class InternedDocuments(SequenceABC):
+class InternedDocuments(Sequence):
     """Documents whose tokens are held as ids into a shared sorted lexicon.
 
     It is a sequence of the documents themselves, in order. ``ids`` holds
