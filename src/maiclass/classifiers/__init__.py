@@ -111,8 +111,15 @@ def _make_estimator(spec: ClassifierSpec):
 
 
 def _require_finite(X: np.ndarray) -> np.ndarray:
-    """``X`` itself; a NaN or infinite entry raises :class:`NumericalFailure`."""
-    if not np.isfinite(X).all():
+    """``X`` itself; a NaN or infinite entry raises :class:`NumericalFailure`.
+
+    The sum of ``X`` is non-finite whenever an entry is, and needs no
+    temporary array. Only a non-finite sum, which finite entries also give
+    when they overflow it, has the entries tested one by one.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = X.sum()
+    if not np.isfinite(total) and not np.isfinite(X).all():
         raise NumericalFailure("feature rows contain NaN or infinite values")
     return X
 

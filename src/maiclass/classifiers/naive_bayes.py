@@ -68,16 +68,25 @@ class MultinomialNaiveBayes(_NaiveBayes):
 
     def fit(self, X, y, n_classes, rng=None):
         Xa = np.asarray(X, dtype=np.float64)
-        if np.any(Xa < 0):
+        # fmin skips NaN, so a NaN cannot hide a negative entry.
+        if Xa.size and np.fmin.reduce(Xa, axis=None) < 0:
             raise ValueError("multinomial model requires non-negative features")
         y = np.asarray(y)
         n, d = Xa.shape
         counts = np.zeros(n_classes)
         log_theta = np.zeros((n_classes, d))
         for c in range(n_classes):
-            rows = Xa[y == c]
-            counts[c] = rows.shape[0]
-            feature_total = rows.sum(axis=0)
+            in_class = y == c
+            counts[c] = np.count_nonzero(in_class)
+            if Xa.flags.c_contiguous:
+                # The class's rows added one at a time in row order, as the
+                # sum of a gathered copy adds them, but with no copy.
+                feature_total = np.add.reduce(Xa, axis=0,
+                                              where=in_class[:, None])
+            else:
+                # Down a Fortran-ordered copy's columns the sum is pairwise,
+                # which a masked sum is not.
+                feature_total = Xa[in_class].sum(axis=0)
             denom = feature_total.sum() + self.alpha * d
             log_theta[c] = np.log((feature_total + self.alpha) / denom)
         self.log_prior = np.log(counts / n)

@@ -84,14 +84,17 @@ def _normalize(raw: str, cleaned: dict[str, str]) -> list[str]:
     """:func:`normalize_text`, cleaning each distinct raw token once.
 
     ``cleaned`` maps a case-folded raw token to its cleaned form, "" when
-    the token is dropped; callers share it across texts.
+    the token is dropped; callers share it across texts. A cleaned form
+    holds no '#', emoji or punctuation, so it cleans to itself and is its
+    own entry: equal cleaned forms of different raw tokens come back as
+    one str object.
     """
     tokens = []
     for token in raw.casefold().split():
         clean = cleaned.get(token)
         if clean is None:
-            clean = cleaned[token] = "" if token.startswith("#") \
-                else token.translate(_DROP)
+            clean = "" if token.startswith("#") else token.translate(_DROP)
+            clean = cleaned[token] = cleaned.setdefault(clean, clean)
         if clean:
             tokens.append(clean)
     return tokens
@@ -150,12 +153,11 @@ def load_corpus(path: str) -> Corpus:
     documents: list[Document] = []
     classes: list[str] = []
     seen_ids: set[str] = set()
-    # Both tables are local, so they die with the call, not the process.
-    # Most raw tokens repeat, and each distinct one is cleaned once; equal
-    # tokens become one str object, so repeats share memory and their dict
+    # The table is local, so it dies with the call, not the process. Most
+    # raw tokens repeat, and each distinct one is cleaned once; equal
+    # tokens are one str object, so repeats share memory and their dict
     # lookups compare by identity.
     cleaned: dict[str, str] = {}
-    pool: dict[str, str] = {}
     for lineno, line in enumerate(_read_lines(path, "corpus file"), start=1):
         if not line.strip():
             continue
@@ -191,7 +193,7 @@ def load_corpus(path: str) -> Corpus:
             Document(
                 record["id"], record["network"], record["language"],
                 record["label"], record["text"],
-                tuple(map(pool.setdefault, tokens, tokens)),
+                tuple(tokens),
             )
         )
         if record["label"] not in classes:

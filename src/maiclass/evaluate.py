@@ -130,15 +130,17 @@ def _score_run(run: int, train_docs: InternedDocuments,
                test_docs: InternedDocuments, vocab: Vocabulary,
                vector_models: Sequence[str],
                specs: Sequence[ClassifierSpec], train_seed: int,
-               classes: Sequence[str]) -> Dict[str, List[F1Result]]:
+               classes: Sequence[str], *, train_out: np.ndarray,
+               test_out: np.ndarray) -> Dict[str, List[F1Result]]:
     """Run ``run``'s F1 per vector model, for each of ``specs`` in order.
 
     The first requested model in ``DERIVE_ORDER`` gets the run's one
-    (train, test) pair of :func:`build_matrix` calls; each later one is
+    (train, test) pair of :func:`build_matrix` calls, counted into the
+    grid's buffers ``train_out`` and ``test_out``; each later model is
     derived from the same two arrays in place. The matrices and the last
-    trained classifier exist only inside this call, so a grid holds one
-    run's pair at a time. A failure is re-raised as :class:`RunFailure`
-    naming the cell it happened in.
+    trained classifier exist only inside this call, so nothing but the
+    buffers outlives the run. A failure is re-raised as
+    :class:`RunFailure` naming the cell it happened in.
     """
     gold = [d.label for d in test_docs]
     scores: Dict[str, List[F1Result]] = {}
@@ -149,8 +151,10 @@ def _score_run(run: int, train_docs: InternedDocuments,
                 continue
             algorithm = None
             if not scores:
-                train_m = build_matrix(train_docs, vocab, vector_model)
-                test_m = build_matrix(test_docs, vocab, vector_model)
+                train_m = build_matrix(train_docs, vocab, vector_model,
+                                       out=train_out)
+                test_m = build_matrix(test_docs, vocab, vector_model,
+                                      out=test_out)
             else:
                 train_m = derive_matrix(train_m, train_docs, vector_model)
                 test_m = derive_matrix(test_m, test_docs, vector_model)
@@ -178,12 +182,15 @@ def run_grid(corpus: Corpus, vector_models: Sequence[str],
     once, and the vocabulary comes from the run's training half only, so
     no test token information leaks into the features. Each run is one
     :func:`_score_run` call, which builds one counts-based matrix pair,
-    derives the other requested models from it in place and frees it
-    before the next run's pair is built. Results come back model-major, in
-    the order of ``vector_models`` (a repeated model repeats its cells),
-    classifier-minor. A failure inside a run is re-raised as
-    :class:`RunFailure` carrying the run index and, when it happened in a
-    cell, the cell's vector model and algorithm.
+    derives the other requested models from it in place and lets go of it
+    before the next run. The grid owns one flat buffer per half, which
+    every run's matrices reuse; each grows, to the half's row count times
+    the run's ``vocab.size``, only when a run's vocabulary is larger than
+    every earlier one's, so memory faulted in once serves every run.
+    Results come back model-major, in the order of ``vector_models`` (a
+    repeated model repeats its cells), classifier-minor. A failure inside
+    a run is re-raised as :class:`RunFailure` carrying the run index and,
+    when it happened in a cell, the cell's vector model and algorithm.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -193,6 +200,7 @@ def run_grid(corpus: Corpus, vector_models: Sequence[str],
     docs = InternedDocuments.of(corpus.documents)
     scores: Dict[str, List[List[F1Result]]] = {
         vector_model: [[] for _ in specs] for vector_model in vector_models}
+    buffers = [np.empty(0), np.empty(0)]
     for r in range(runs):
         split_seed, train_seed = run_seeds(master_seed, r)
         try:
@@ -202,9 +210,13 @@ def run_grid(corpus: Corpus, vector_models: Sequence[str],
             vocab = build_vocabulary(train_docs, vocab_size)
         except MaiclassError as exc:
             raise RunFailure(r, exc) from exc
+        for i, half in enumerate((train_docs, test_docs)):
+            if buffers[i].size < len(half) * vocab.size:
+                buffers[i] = np.empty(len(half) * vocab.size)
         run_scores = _score_run(r, train_docs, test_docs, vocab,
                                 vector_models, specs, train_seed,
-                                corpus.classes)
+                                corpus.classes, train_out=buffers[0],
+                                test_out=buffers[1])
         for vector_model, model_scores in run_scores.items():
             for cell, f1 in zip(scores[vector_model], model_scores):
                 cell.append(f1)

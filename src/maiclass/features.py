@@ -15,7 +15,7 @@ plain list of documents on entry, so both kinds of input take one path.
 All three models come from one counts matrix. :func:`derive_matrix` turns
 a matrix into a later model of ``DERIVE_ORDER`` in place: plain counts
 into frequencies (divided by the row's length), either of them into 0/1
-presence (their sign).
+presence (a test for a value above 0).
 """
 
 from __future__ import annotations
@@ -133,8 +133,12 @@ def build_vocabulary(docs: Sequence[Document], k: int) -> Vocabulary:
                       counts=dict(zip(tokens, counts[top].tolist())))
 
 
-def _count_rows(docs: InternedDocuments, vocab: Vocabulary) -> np.ndarray:
-    """Keyword counts, one row per document, through one scatter-add."""
+def _count_rows(docs: InternedDocuments, vocab: Vocabulary,
+                out: np.ndarray | None) -> np.ndarray:
+    """Keyword counts, one row per document, through one scatter-add.
+
+    The rows are a fresh array, or a view of ``out``'s first values.
+    """
     n = len(docs.lengths)
     position = np.full(len(docs.lexicon), -1, dtype=np.int32)
     for pos, tok in enumerate(vocab.tokens):
@@ -150,7 +154,15 @@ def _count_rows(docs: InternedDocuments, vocab: Vocabulary) -> np.ndarray:
     cells = np.repeat(np.arange(n, dtype=cell_type) * vocab.size,
                       docs.lengths)[hit]
     cells += positions[hit]
-    rows = np.zeros((n, vocab.size), dtype=np.float64)
+    if out is None:
+        rows = np.zeros((n, vocab.size), dtype=np.float64)
+    else:
+        if out.dtype != np.float64 or out.ndim != 1 \
+                or out.size < n * vocab.size:
+            raise ValueError(f"out must be a flat float64 array of at least "
+                             f"{n * vocab.size} values")
+        rows = out[:n * vocab.size].reshape(n, vocab.size)
+        rows.fill(0.0)
     # Counts are small integers, exact in float64 in any summation order.
     np.add.at(rows.reshape(-1), cells, 1.0)
     return rows
@@ -168,7 +180,7 @@ def _to_model(rows: np.ndarray, lengths: np.ndarray, model: str) -> None:
         rows /= np.maximum(lengths, 1)[:, None]
     elif model == "bernoulli":
         # 1.0 where a keyword occurs, else 0.0: (count > 0) as 0/1.
-        np.sign(rows, out=rows)
+        np.greater(rows, 0.0, out=rows)
 
 
 def vectorize(tokens: Iterable[str], vocab: Vocabulary, model: str) -> np.ndarray:
@@ -199,8 +211,15 @@ class FeatureMatrix:
         return self.rows.shape[0]
 
 
-def build_matrix(docs: Sequence[Document], vocab: Vocabulary, model: str) -> FeatureMatrix:
-    """Vectorize every document under ``model``, preserving order."""
+def build_matrix(docs: Sequence[Document], vocab: Vocabulary, model: str, *,
+                 out: np.ndarray | None = None) -> FeatureMatrix:
+    """Vectorize every document under ``model``, preserving order.
+
+    The rows are a fresh ``(len(docs), vocab.size)`` array, or, given a
+    flat float64 buffer ``out`` of at least that many values, a view of
+    its first values, zero-filled and counted into; the buffer's other
+    values are left as they are. Either way the rows hold the same bytes.
+    """
     if not docs:
         raise EmptyCorpus("no documents to vectorize")
     if model not in VECTOR_MODELS:
@@ -208,7 +227,7 @@ def build_matrix(docs: Sequence[Document], vocab: Vocabulary, model: str) -> Fea
     if vocab.size == 0:
         raise ValueError("vocabulary is empty")
     docs = InternedDocuments.of(docs)
-    rows = _count_rows(docs, vocab)
+    rows = _count_rows(docs, vocab, out)
     _to_model(rows, docs.lengths, model)
     return FeatureMatrix(
         model=model, vocab=vocab, rows=rows, labels=tuple(doc.label for doc in docs)

@@ -1,7 +1,10 @@
 """Contracts every one of the twelve classifier configurations must meet."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import maiclass
 import maiclass.classifiers
@@ -137,6 +140,35 @@ def test_non_finite_rows_are_numerical_failure(algo):
     if algo in SCORED:
         with pytest.raises(NumericalFailure):
             predict_scores(model, query)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 35),
+       st.integers(0, 8), st.booleans(), st.booleans())
+def test_non_finite_entry_anywhere_is_numerical_failure(bad, row, col,
+                                                        at_predict, huge):
+    # ``huge`` fills the other entries with 1e308, whose sum overflows to
+    # inf on its own.
+    rows, labels = blob_data()
+    if huge:
+        rows = np.full_like(rows, 1e308)
+    spec = ClassifierSpec(algorithm="nb_gaussian")
+    poisoned = rows.copy()
+    poisoned[row, col] = bad
+    if not at_predict:
+        with pytest.raises(NumericalFailure):
+            train(spec, (poisoned, labels))
+        return
+    model = train(spec, blob_data())
+    with pytest.raises(NumericalFailure):
+        predict(model, poisoned)
+
+
+def test_rows_whose_sum_overflows_are_finite():
+    rows = np.full((4, 3), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert maiclass.classifiers._require_finite(rows) is rows
 
 
 def test_hyperparameter_overrides_reach_estimator():

@@ -205,9 +205,9 @@ def test_run_grid_matches_per_cell_experiments(monkeypatch):
     calls = []
     build_matrix = evaluate.build_matrix
 
-    def counted(docs, vocab, model):
+    def counted(docs, vocab, model, **kwargs):
         calls.append(model)
-        return build_matrix(docs, vocab, model)
+        return build_matrix(docs, vocab, model, **kwargs)
 
     monkeypatch.setattr(evaluate, "build_matrix", counted)
     grid = run_grid(corpus, VECTOR_MODELS, specs, runs=2, master_seed=3)
@@ -257,32 +257,74 @@ def test_run_grid_over_any_model_list_matches_per_cell_experiments(
 
 def test_run_grid_keeps_one_model_matrix_pair_alive(monkeypatch):
     # Calls come in (train, test) pairs, one pair per run; every vector
-    # model of the run is derived from that pair. When a pair starts, every
-    # matrix of an earlier run, and the rows a trained k-NN keeps, must
-    # already be gone.
+    # model of the run is derived from that pair. Each half's matrices are
+    # counted into one grid-owned buffer, replaced only when a run's
+    # vocabulary is larger than every earlier run's. When a pair starts,
+    # every matrix and trained classifier of an earlier run, and the rows a
+    # trained k-NN keeps, must already be gone.
     corpus = make_synthetic_corpus(docs_per_class=6)
     specs = [ClassifierSpec(algorithm=algo) for algo in ("knn",
                                                           "nb_multinomial")]
-    build_matrix = evaluate.build_matrix
+    build_matrix, derive_matrix, train = (
+        evaluate.build_matrix, evaluate.derive_matrix, evaluate.train)
+    calls = []
     made = []
     alive_counts = []
+    buffers = [None, None]
+    reused = []
 
-    def tracked(docs, vocab, model):
-        pair = len(made) // 2
-        alive = [(p, ref) for p, ref, rows_ref in made
-                 if ref() is not None or rows_ref() is not None]
+    def track(*objs):
+        run = (len(calls) - 1) // 2
+        made.extend((run, weakref.ref(obj)) for obj in objs)
+
+    def tracked_build(docs, vocab, model, *, out):
+        run, half = divmod(len(calls), 2)
+        alive = [r for r, ref in made if ref() is not None]
         alive_counts.append(len(alive))
-        assert all(p == pair for p, _ in alive), \
-            f"call {len(made)}: a matrix of an earlier run is alive"
-        matrix = build_matrix(docs, vocab, model)
-        made.append((pair, weakref.ref(matrix), weakref.ref(matrix.rows)))
+        assert all(r == run for r in alive), \
+            f"call {len(calls)}: an object of an earlier run is alive"
+        calls.append(vocab.size)
+        if vocab.size <= max(calls[:-1 - half], default=0):
+            assert out is buffers[half]
+            reused.append(run)
+        buffers[half] = out
+        matrix = build_matrix(docs, vocab, model, out=out)
+        assert np.shares_memory(matrix.rows, out)
+        track(matrix, matrix.rows)
         return matrix
 
-    monkeypatch.setattr(evaluate, "build_matrix", tracked)
-    run_grid(corpus, VECTOR_MODELS, specs, runs=2)
-    assert len(made) == 2 * 2
-    # The pair's own train matrix, while its test matrix is built.
-    assert alive_counts == [0, 1] * 2
+    def tracked_derive(matrix, docs, model):
+        derived = derive_matrix(matrix, docs, model)
+        track(derived, derived.rows)
+        return derived
+
+    def tracked_train(spec, data, seed=0):
+        model = train(spec, data, seed=seed)
+        track(model, model.estimator)
+        return model
+
+    monkeypatch.setattr(evaluate, "build_matrix", tracked_build)
+    monkeypatch.setattr(evaluate, "derive_matrix", tracked_derive)
+    monkeypatch.setattr(evaluate, "train", tracked_train)
+    # Seed 1's training vocabularies hold 176, 178 and 175 keywords, so
+    # run 1 grows both buffers and run 2 reuses them.
+    run_grid(corpus, VECTOR_MODELS, specs, runs=3, master_seed=1)
+    assert calls == [176, 176, 178, 178, 175, 175]
+    assert reused == [2, 2]
+    assert not np.shares_memory(buffers[0], buffers[1])
+    # The pair's own train matrix and its rows, while its test matrix is
+    # built.
+    assert alive_counts == [0, 2] * 3
+
+
+def test_run_grid_sizes_its_buffers_from_the_vocabulary_it_gets():
+    # A vocabulary size far above the corpus's distinct tokens takes them
+    # all; buffers sized from the requested size could not be allocated.
+    corpus = make_synthetic_corpus(docs_per_class=6)
+    specs = [ClassifierSpec(algorithm="nb_multinomial")]
+    assert run_grid(corpus, VECTOR_MODELS, specs, runs=2,
+                    vocab_size=10**12) \
+        == run_grid(corpus, VECTOR_MODELS, specs, runs=2, vocab_size=10**4)
 
 
 # Three classifiers whose ties all fall to the lowest class code: k-NN's

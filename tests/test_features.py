@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from maiclass import evaluate, features
 from maiclass.classifiers import ClassifierSpec
@@ -201,6 +202,13 @@ def test_build_matrix_rows_are_the_document_vectors(all_tokens, k):
     for model in VECTOR_MODELS:
         rows = build_matrix(docs, vocab, model).rows
         assert rows.tobytes() == per_row_matrix(seqs, vocab, model).tobytes()
+        # Counted into a used buffer with spare values, the rows are its
+        # first values and the spare ones are left alone.
+        out = np.full(rows.size + 3, np.nan)
+        into = build_matrix(docs, vocab, model, out=out).rows
+        assert np.shares_memory(into, out)
+        assert into.tobytes() == rows.tobytes()
+        assert np.isnan(out[rows.size:]).all()
         expected = np.vstack([reference_row(d.tokens, vocab, model)
                               for d in docs])
         assert np.array_equal(rows, expected)
@@ -214,6 +222,33 @@ def test_build_matrix_rows_are_the_document_vectors(all_tokens, k):
 def test_vocabulary_matches_per_document_counting(all_tokens, k):
     docs = [doc("x", toks, id=str(i)) for i, toks in enumerate(all_tokens)]
     assert build_vocabulary(docs, k) == per_document_vocabulary(docs, k)
+
+
+def test_build_matrix_rejects_an_unfit_buffer():
+    docs = [doc("x", ["a", "b"]), doc("y", ["b"])]
+    vocab = build_vocabulary(docs, 2)
+    for out in (np.zeros(3), np.zeros(4, dtype=np.float32),
+                np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="out"):
+            build_matrix(docs, vocab, "plain_freq", out=out)
+
+
+_counts = st.integers(0, 6).flatmap(lambda n: st.integers(1, 5).flatmap(
+    lambda v: arrays(np.float64, (n, v), elements=st.sampled_from(
+        [0.0, 0.0, 1.0, 2.0, 7.0]))))
+
+
+@given(_counts, st.integers(0, 3))
+def test_presence_pass_gives_the_bytes_of_sign(counts, extra):
+    # Counts and frequencies, with empty documents (zero rows) and keywords
+    # no document holds (zero columns) among the examples; ``extra`` adds
+    # out-of-vocabulary tokens to every document's length.
+    lengths = counts.sum(axis=1).astype(np.intp) + extra
+    freqs = counts / np.maximum(lengths, 1)[:, None]
+    for rows in (counts, freqs):
+        presence = rows.copy()
+        features._to_model(presence, lengths, "bernoulli")
+        assert presence.tobytes() == np.sign(rows).tobytes()
 
 
 def test_vector_models_constant():
@@ -333,10 +368,10 @@ def test_run_grid_looks_each_half_up_once(interns, monkeypatch):
     built = []
     build = evaluate.build_matrix
 
-    def counted(docs, vocab, model):
+    def counted(docs, vocab, model, **kwargs):
         assert isinstance(docs, InternedDocuments)
         built.append(model)
-        return build(docs, vocab, model)
+        return build(docs, vocab, model, **kwargs)
 
     monkeypatch.setattr(evaluate, "build_matrix", counted)
     run_grid(corpus, VECTOR_MODELS,

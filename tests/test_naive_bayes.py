@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from maiclass.errors import NumericalFailure
 from maiclass.classifiers.naive_bayes import (
@@ -53,6 +54,47 @@ def test_multinomial_rejects_negative_features():
     est = MultinomialNaiveBayes()
     with pytest.raises(ValueError):
         est.fit(np.array([[1.0, -0.5], [0.0, 1.0]]), np.array([0, 1]), 2)
+    # A NaN does not hide the negative entry.
+    with pytest.raises(ValueError):
+        est.fit(np.array([[np.nan, -0.5], [0.0, 1.0]]), np.array([0, 1]), 2)
+
+
+def gathered_multinomial_fit(X, y, n_classes, alpha=1.0):
+    """Each class's rows gathered into a copy and summed: the reference."""
+    n, d = X.shape
+    counts = np.zeros(n_classes)
+    log_theta = np.zeros((n_classes, d))
+    for c in range(n_classes):
+        rows = X[y == c]
+        counts[c] = rows.shape[0]
+        feature_total = rows.sum(axis=0)
+        denom = feature_total.sum() + alpha * d
+        log_theta[c] = np.log((feature_total + alpha) / denom)
+    return np.log(counts / n), log_theta
+
+
+@given(st.integers(2, 4).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.lists(st.integers(0, k - 1), min_size=20, max_size=60),
+    st.integers(1, 5), st.booleans(), st.randoms(use_true_random=False))))
+def test_multinomial_fit_matches_gathered_sums(case):
+    # Labels are interleaved, not grouped; a class may hold one row; zero
+    # rows and frequency-like fractions occur. Fortran-ordered rows are the
+    # layout whose gathered sum is pairwise, which differs from adding row
+    # by row once a class holds 8 rows.
+    k, labels, d, fortran, rnd = case
+    y = np.array(list(range(k)) + labels)
+    rnd.shuffle(y)
+    rng = np.random.default_rng(rnd.getrandbits(32))
+    counts = rng.integers(0, 4, size=(y.size, d)) \
+        * (rng.random((y.size, 1)) < 0.8)
+    X = counts / rng.integers(1, 1000, size=(y.size, 1))
+    if fortran:
+        X = np.asfortranarray(X)
+    est = MultinomialNaiveBayes().fit(X, y, k)
+    log_prior, log_theta = gathered_multinomial_fit(X, y, k)
+    assert est.log_prior.tobytes() == log_prior.tobytes()
+    assert est.log_theta.tobytes() == log_theta.tobytes()
 
 
 def test_gaussian_symmetric_posterior():
