@@ -76,17 +76,16 @@ class MultinomialNaiveBayes(_NaiveBayes):
         counts = np.zeros(n_classes)
         log_theta = np.zeros((n_classes, d))
         for c in range(n_classes):
-            in_class = y == c
-            counts[c] = np.count_nonzero(in_class)
-            if Xa.flags.c_contiguous:
-                # The class's rows added one at a time in row order, as the
-                # sum of a gathered copy adds them, but with no copy.
-                feature_total = np.add.reduce(Xa, axis=0,
-                                              where=in_class[:, None])
+            at = np.flatnonzero(y == c)
+            counts[c] = at.size
+            if Xa.flags.c_contiguous and at.size \
+                    and at[-1] - at[0] + 1 == at.size:
+                # One block of consecutive rows, as a split half's classes
+                # are: a view of it is laid out as a gathered copy would
+                # be, so it sums to the same bytes, with no copy made.
+                feature_total = Xa[at[0]:at[-1] + 1].sum(axis=0)
             else:
-                # Down a Fortran-ordered copy's columns the sum is pairwise,
-                # which a masked sum is not.
-                feature_total = Xa[in_class].sum(axis=0)
+                feature_total = Xa[at].sum(axis=0)
             denom = feature_total.sum() + self.alpha * d
             log_theta[c] = np.log((feature_total + self.alpha) / denom)
         self.log_prior = np.log(counts / n)

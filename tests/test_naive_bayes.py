@@ -76,15 +76,19 @@ def gathered_multinomial_fit(X, y, n_classes, alpha=1.0):
 @given(st.integers(2, 4).flatmap(lambda k: st.tuples(
     st.just(k),
     st.lists(st.integers(0, k - 1), min_size=20, max_size=60),
-    st.integers(1, 5), st.booleans(), st.randoms(use_true_random=False))))
+    st.integers(1, 5), st.booleans(), st.booleans(),
+    st.randoms(use_true_random=False))))
 def test_multinomial_fit_matches_gathered_sums(case):
-    # Labels are interleaved, not grouped; a class may hold one row; zero
-    # rows and frequency-like fractions occur. Fortran-ordered rows are the
-    # layout whose gathered sum is pairwise, which differs from adding row
-    # by row once a class holds 8 rows.
-    k, labels, d, fortran, rnd = case
+    # Labels come interleaved, or grouped into one block per class as in a
+    # split half; a class may hold one row; zero rows and frequency-like
+    # fractions occur. Fortran-ordered rows are the layout whose gathered
+    # sum is pairwise, which differs from adding row by row once a class
+    # holds 8 rows.
+    k, labels, d, grouped, fortran, rnd = case
     y = np.array(list(range(k)) + labels)
     rnd.shuffle(y)
+    if grouped:
+        y.sort()
     rng = np.random.default_rng(rnd.getrandbits(32))
     counts = rng.integers(0, 4, size=(y.size, d)) \
         * (rng.random((y.size, 1)) < 0.8)
