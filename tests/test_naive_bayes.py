@@ -81,9 +81,8 @@ def gathered_multinomial_fit(X, y, n_classes, alpha=1.0):
 def test_multinomial_fit_matches_gathered_sums(case):
     # Labels come interleaved, or grouped into one block per class as in a
     # split half; a class may hold one row; zero rows and frequency-like
-    # fractions occur. Fortran-ordered rows are the layout whose gathered
-    # sum is pairwise, which differs from adding row by row once a class
-    # holds 8 rows.
+    # fractions occur. On Fortran-ordered rows a view of a class block
+    # sums to other bytes than its gathered copy once it holds 8 rows.
     k, labels, d, grouped, fortran, rnd = case
     y = np.array(list(range(k)) + labels)
     rnd.shuffle(y)
