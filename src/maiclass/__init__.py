@@ -11,7 +11,6 @@ from .classifiers import (
     ClassifierSpec,
     TrainedModel,
     predict,
-    predict_scores,
     train,
 )
 from .corpus import Corpus, Document, load_corpus, normalize_text, validate_corpus
@@ -28,7 +27,6 @@ from .features import (
     Vocabulary,
     build_matrix,
     build_vocabulary,
-    vectorize,
 )
 from .report import (
     ScoreTable,
@@ -66,7 +64,6 @@ __all__ = [
     "normalize_text",
     "percent_agreement",
     "predict",
-    "predict_scores",
     "render_report",
     "reproduce_stats",
     "run_experiment",
@@ -75,5 +72,4 @@ __all__ = [
     "stratified_split",
     "train",
     "validate_corpus",
-    "vectorize",
 ]

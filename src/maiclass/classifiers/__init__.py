@@ -19,16 +19,14 @@ from ..errors import (
     DegenerateLabels,
     DimensionMismatch,
     NumericalFailure,
-    Unsupported,
 )
-from .kernels import KernelParams, kernel_eval, kernel_matrix
+from .kernels import KernelParams, kernel_matrix
 from .linear import LogisticRegressionOVR, logistic_loss_and_grad
 from .mlp import MlpClassifier, init_glorot, mlp_loss_and_grad
 from .naive_bayes import (
     BernoulliNaiveBayes,
     GaussianNaiveBayes,
     MultinomialNaiveBayes,
-    softmax_rows,
 )
 from .neighbors import KNeighbors
 from .svm import KernelSvm
@@ -40,14 +38,11 @@ __all__ = [
     "TrainedModel",
     "train",
     "predict",
-    "predict_scores",
     "KernelParams",
-    "kernel_eval",
     "kernel_matrix",
     "logistic_loss_and_grad",
     "mlp_loss_and_grad",
     "init_glorot",
-    "softmax_rows",
     "KernelSvm",
     "MlpClassifier",
     "BernoulliNaiveBayes",
@@ -169,16 +164,3 @@ def predict(model: TrainedModel, rows) -> List[str]:
     codes = model.estimator.predict_codes(X)
     return [model.classes[c] for c in codes]
 
-
-def predict_scores(model: TrainedModel, rows) -> np.ndarray:
-    """Per-class scores in [0, 1] summing to 1 per row.
-
-    Available for the probabilistic families (Naive Bayes, logistic
-    regression, MLP); other estimators raise :class:`Unsupported`.
-    """
-    X = _check_rows(model, rows)
-    est = model.estimator
-    if hasattr(est, "predict_proba"):
-        return est.predict_proba(X)
-    raise Unsupported(
-        f"{model.spec.algorithm} does not produce per-class scores")

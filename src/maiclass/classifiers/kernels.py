@@ -34,24 +34,6 @@ class KernelParams:
             raise ValueError("degree must be >= 1")
 
 
-def kernel_eval(params: KernelParams, x, y) -> float:
-    """Evaluate k(x, y) for two vectors of equal length."""
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    if xa.shape != ya.shape or xa.ndim != 1:
-        raise DimensionMismatch(
-            f"kernel arguments must be equal-length vectors, "
-            f"got {xa.shape} and {ya.shape}")
-    if params.kind == "linear":
-        return float(xa @ ya)
-    if params.kind == "poly":
-        return float((params.gamma * (xa @ ya) + params.coef0) ** params.degree)
-    if params.kind == "rbf":
-        diff = xa - ya
-        return float(np.exp(-params.gamma * (diff @ diff)))
-    return float(np.tanh(params.gamma * (xa @ ya) + params.coef0))
-
-
 def kernel_matrix(params: KernelParams, A, B: Optional[np.ndarray] = None,
                   ) -> np.ndarray:
     """Gram matrix k(A[i], B[j]); B defaults to A."""

@@ -40,7 +40,7 @@ def logistic_loss_and_grad(wb: np.ndarray, X: np.ndarray, y_pm: np.ndarray,
 
 
 class LogisticRegressionOVR:
-    """One binary logistic model per class; scores are normalised sigmoids."""
+    """One binary logistic model per class; the highest margin wins."""
 
     def __init__(self, c: float = 1.0, max_iterations: int = 200,
                  tolerance: float = 1e-6):
@@ -82,7 +82,3 @@ class LogisticRegressionOVR:
 
     def predict_codes(self, X):
         return np.argmax(self.decision(X), axis=1)
-
-    def predict_proba(self, X):
-        sig = _sigmoid(self.decision(X))
-        return sig / sig.sum(axis=1, keepdims=True)

@@ -9,7 +9,6 @@ import numpy as np
 
 from ..optim import adam_minimize, lbfgs_minimize, split_oracle
 from ..errors import LineSearchFailure
-from .naive_bayes import softmax_rows
 
 
 def _unpack(theta: np.ndarray, d: int, h: int, c: int):
@@ -153,15 +152,9 @@ class MlpClassifier:
         self.n_classes = n_classes
         return self
 
-    def _logits(self, X):
+    def predict_codes(self, X):
         Xa = np.asarray(X, dtype=np.float64)
         W1, b1, W2, b2 = _unpack(self.theta, self.n_features, self.hidden,
                                  self.n_classes)
         A1 = np.maximum(Xa @ W1 + b1, 0.0)
-        return A1 @ W2 + b2
-
-    def predict_codes(self, X):
-        return np.argmax(self._logits(X), axis=1)
-
-    def predict_proba(self, X):
-        return softmax_rows(self._logits(X))
+        return np.argmax(A1 @ W2 + b2, axis=1)

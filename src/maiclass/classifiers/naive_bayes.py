@@ -1,8 +1,8 @@
 """Bernoulli, multinomial and Gaussian Naive Bayes estimators.
 
 All work in log space on integer class codes. ``log_joint`` returns the
-unnormalised ``log P(c) + log P(x | c)`` matrix used both for argmax
-prediction and for softmax posteriors.
+unnormalised ``log P(c) + log P(x | c)`` matrix, whose row-wise argmax is
+the prediction.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ class _NaiveBayes:
 
     def predict_codes(self, X):
         return np.argmax(self.log_joint(X), axis=1)
-
-    def predict_proba(self, X):
-        return softmax_rows(self.log_joint(X))
 
 
 class BernoulliNaiveBayes(_NaiveBayes):
@@ -143,9 +140,3 @@ class GaussianNaiveBayes(_NaiveBayes):
                 + diff * diff / self.variances[c], axis=1)
         return out
 
-
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, shifted for stability."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)

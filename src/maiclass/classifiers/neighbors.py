@@ -30,21 +30,18 @@ class KNeighbors:
     def kneighbors(self, X) -> np.ndarray:
         """Indices of the k nearest training rows for each query row."""
         Xa = np.asarray(X, dtype=np.float64)
-        n_train = self.train_x.shape[0]
-        k = min(self.k, n_train)
+        k = min(self.k, self.train_x.shape[0])
         out = np.empty((Xa.shape[0], k), dtype=np.intp)
-        tie_break = np.arange(n_train)
         for r in range(Xa.shape[0]):
             diff = self.train_x - Xa[r]
             d2 = np.sum(diff * diff, axis=1)
-            order = np.lexsort((tie_break, d2))
-            out[r] = order[:k]
+            # A stable sort keeps equal distances in training-row order.
+            out[r] = np.argsort(d2, kind="stable")[:k]
         return out
 
     def predict_codes(self, X):
         neigh = self.kneighbors(X)
-        votes = np.apply_along_axis(
-            lambda row: np.bincount(self.train_y[row],
-                                    minlength=self.n_classes),
-            1, neigh)
+        votes = np.zeros((neigh.shape[0], self.n_classes), dtype=np.int64)
+        np.add.at(votes, (np.arange(neigh.shape[0])[:, None],
+                          self.train_y[neigh]), 1)
         return np.argmax(votes, axis=1)

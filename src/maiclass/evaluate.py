@@ -74,9 +74,6 @@ class F1Result:
     per_class: Dict[str, float]
     degenerate: FrozenSet[str]
 
-    def macro(self) -> float:
-        return sum(self.per_class.values()) / len(self.per_class)
-
 
 def f1_scores(gold: Sequence[str], predicted: Sequence[str],
               classes: Sequence[str]) -> F1Result:

@@ -107,9 +107,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.tokens)
 
-    def index(self) -> dict[str, int]:
-        return {tok: i for i, tok in enumerate(self.tokens)}
-
 
 def build_vocabulary(docs: Sequence[Document], k: int) -> Vocabulary:
     """Pick the k most frequent tokens across ``docs``, stop-words included.
@@ -183,16 +180,6 @@ def _to_model(rows: np.ndarray, lengths: np.ndarray, model: str) -> None:
         np.greater(rows, 0.0, out=rows)
 
 
-def vectorize(tokens: Iterable[str], vocab: Vocabulary, model: str) -> np.ndarray:
-    """Map a token sequence to a vector of length ``vocab.size``.
-
-    The one-row case of :func:`build_matrix`.
-    """
-    doc = Document(id="", network="", language="", label="", raw_text="",
-                   tokens=tuple(tokens))
-    return build_matrix([doc], vocab, model).rows[0]
-
-
 @dataclass(frozen=True)
 class FeatureMatrix:
     """A vectorized corpus: one row per document, aligned labels."""
@@ -205,10 +192,6 @@ class FeatureMatrix:
     def __post_init__(self):
         if self.rows.shape[0] != len(self.labels):
             raise ValueError("row count does not match label count")
-
-    @property
-    def n_documents(self) -> int:
-        return self.rows.shape[0]
 
 
 def build_matrix(docs: Sequence[Document], vocab: Vocabulary, model: str, *,

@@ -210,11 +210,6 @@ def _read_agreement(path) -> Tuple[List[str], List[List[int]]]:
     return header, rows
 
 
-def load_agreement(path=None) -> List[List[int]]:
-    """Read a 0/1 expert-vote table from CSV (header row of column names)."""
-    return _read_agreement(path)[1]
-
-
 def agreement_columns(path=None) -> List[Tuple[str, float]]:
     """(column name, percent agreement) pairs for a vote table."""
     header, rows = _read_agreement(path)
@@ -312,13 +307,6 @@ class ReproduceReport:
     medians: Tuple[Comparison, ...]
     utests: Tuple[UTestLine, ...]
     notes: Tuple[str, ...]
-
-    @property
-    def all_matched(self) -> bool:
-        comps = (self.row_sums + self.perfect_counts + self.block_means
-                 + self.summary_checks + self.medians)
-        return all(c.matched for c in comps) \
-            and all(u.u_matched and u.p_matched for u in self.utests)
 
 
 def reproduce_stats(table: Optional[ScoreTable] = None) -> ReproduceReport:

@@ -183,9 +183,6 @@ class DescriptiveStats:
     def n(self) -> int:
         return len(self.values)
 
-    def count_of(self, value: float) -> int:
-        return sum(1 for v in self.values if v == value)
-
 
 def describe(scores: Sequence[float]) -> DescriptiveStats:
     vals = tuple(sorted(float(v) for v in scores))

@@ -12,7 +12,6 @@ from maiclass.classifiers import (
     ALGORITHMS,
     ClassifierSpec,
     predict,
-    predict_scores,
     train,
 )
 from maiclass.classifiers.svm import KernelSvm
@@ -20,11 +19,7 @@ from maiclass.errors import (
     DegenerateLabels,
     DimensionMismatch,
     NumericalFailure,
-    Unsupported,
 )
-
-SCORED = {"mlp_lbfgs", "mlp_adam", "nb_bernoulli", "nb_multinomial",
-          "nb_gaussian", "logistic_regression"}
 
 
 def blob_data(seed=21, per_class=12):
@@ -84,27 +79,6 @@ def test_deterministic_given_seed(algo):
     a = train(ClassifierSpec(algorithm=algo), (rows, labels), seed=11)
     b = train(ClassifierSpec(algorithm=algo), (rows, labels), seed=11)
     assert predict(a, queries) == predict(b, queries)
-    if algo in SCORED:
-        assert np.array_equal(predict_scores(a, queries),
-                              predict_scores(b, queries))
-
-
-@pytest.mark.parametrize("algo", sorted(SCORED))
-def test_scores_are_distributions(algo):
-    rows, labels = blob_data()
-    model = train(ClassifierSpec(algorithm=algo), (rows, labels), seed=0)
-    scores = predict_scores(model, rows)
-    assert scores.shape == (len(labels), 3)
-    assert np.all(scores >= 0.0)
-    assert np.allclose(scores.sum(axis=1), 1.0, atol=1e-9)
-
-
-@pytest.mark.parametrize("algo", sorted(set(ALGORITHMS) - SCORED))
-def test_unscored_families_raise(algo):
-    rows, labels = blob_data()
-    model = train(ClassifierSpec(algorithm=algo), (rows, labels), seed=0)
-    with pytest.raises(Unsupported):
-        predict_scores(model, rows)
 
 
 def test_single_label_degenerate():
@@ -124,6 +98,13 @@ def test_wrong_width_rejected():
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
+def test_no_query_rows_give_no_labels(algo):
+    rows, labels = blob_data()
+    model = train(ClassifierSpec(algorithm=algo), (rows, labels))
+    assert predict(model, np.zeros((0, rows.shape[1]))) == []
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
 def test_non_finite_rows_are_numerical_failure(algo):
     rows, labels = blob_data()
     spec = ClassifierSpec(algorithm=algo)
@@ -137,9 +118,6 @@ def test_non_finite_rows_are_numerical_failure(algo):
     query[1, :2] = [np.nan, np.inf]
     with pytest.raises(NumericalFailure):
         predict(model, query)
-    if algo in SCORED:
-        with pytest.raises(NumericalFailure):
-            predict_scores(model, query)
 
 
 @settings(max_examples=40, deadline=None)

@@ -21,7 +21,6 @@ from maiclass.features import (
     build_matrix,
     build_vocabulary,
     derive_matrix,
-    vectorize,
 )
 
 from conftest import make_synthetic_corpus
@@ -69,29 +68,34 @@ def test_vocabulary_permutation_invariant():
     assert forward == backward
 
 
+def one_row(tokens, vocab, model):
+    """The row of a one-document matrix."""
+    return build_matrix([doc("x", tokens)], vocab, model).rows[0]
+
+
 def test_vectorize_three_models():
     vocab = Vocabulary(tokens=("a", "b"), counts={"a": 2, "b": 1})
     tokens = ["a", "a", "c"]
-    assert vectorize(tokens, vocab, "bernoulli").tolist() == [1.0, 0.0]
-    assert vectorize(tokens, vocab, "plain_freq").tolist() == [2.0, 0.0]
-    norm = vectorize(tokens, vocab, "norm_freq")
+    assert one_row(tokens, vocab, "bernoulli").tolist() == [1.0, 0.0]
+    assert one_row(tokens, vocab, "plain_freq").tolist() == [2.0, 0.0]
+    norm = one_row(tokens, vocab, "norm_freq")
     assert norm.tolist() == [2.0 / 3.0, 0.0]
 
 
 def test_vectorize_empty_document_norm_freq():
     vocab = Vocabulary(tokens=("a",), counts={"a": 1})
-    assert vectorize([], vocab, "norm_freq").tolist() == [0.0]
+    assert one_row([], vocab, "norm_freq").tolist() == [0.0]
 
 
 def test_vectorize_rejects_unknown_model():
     vocab = Vocabulary(tokens=("a",), counts={"a": 1})
     with pytest.raises(ValueError):
-        vectorize(["a"], vocab, "tfidf")
+        one_row(["a"], vocab, "tfidf")
 
 
 def test_vectorize_rejects_empty_vocab():
     with pytest.raises(ValueError):
-        vectorize(["a"], Vocabulary(tokens=(), counts={}), "bernoulli")
+        one_row(["a"], Vocabulary(tokens=(), counts={}), "bernoulli")
 
 
 def test_build_matrix_shapes_and_labels():
@@ -101,7 +105,6 @@ def test_build_matrix_shapes_and_labels():
     matrix = build_matrix(docs, vocab, "bernoulli")
     assert matrix.rows.shape == (3, 2)
     assert matrix.labels == ("x", "y", "x")
-    assert matrix.n_documents == 3
     assert set(np.unique(matrix.rows)) <= {0.0, 1.0}
 
 
@@ -128,9 +131,9 @@ def test_model_relations_hold(all_tokens):
     docs = [doc("x", toks, id=str(i)) for i, toks in enumerate(all_tokens)]
     vocab = build_vocabulary(docs, 1000)
     for d in docs:
-        plain = vectorize(d.tokens, vocab, "plain_freq")
-        bern = vectorize(d.tokens, vocab, "bernoulli")
-        norm = vectorize(d.tokens, vocab, "norm_freq")
+        plain = one_row(d.tokens, vocab, "plain_freq")
+        bern = one_row(d.tokens, vocab, "bernoulli")
+        norm = one_row(d.tokens, vocab, "norm_freq")
         assert np.array_equal(bern, (plain > 0).astype(float))
         if d.tokens:
             assert np.array_equal(norm, plain / len(d.tokens))
@@ -165,7 +168,7 @@ def reference_row(tokens, vocab, model):
 
 def per_row_matrix(token_seqs, vocab, model):
     """One lookup list and one bincount per document, row by row."""
-    index = vocab.index()
+    index = {tok: i for i, tok in enumerate(vocab.tokens)}
     rows = np.zeros((len(token_seqs), vocab.size), dtype=np.float64)
     for r, tokens in enumerate(token_seqs):
         hits = [pos for pos in map(index.get, tokens) if pos is not None]
@@ -213,7 +216,7 @@ def test_build_matrix_rows_are_the_document_vectors(all_tokens, k):
                               for d in docs])
         assert np.array_equal(rows, expected)
         for d, row in zip(docs, rows):
-            assert vectorize(d.tokens, vocab, model).tobytes() \
+            assert one_row(d.tokens, vocab, model).tobytes() \
                 == row.tobytes()
 
 
@@ -327,7 +330,7 @@ def test_vocabulary_holds_no_state_between_calls():
     text = repr(vocab)
     state = dict(vars(vocab))
     for _ in range(100):
-        vectorize(["a", "c"], vocab, "plain_freq")
+        one_row(["a", "c"], vocab, "plain_freq")
     for i in range(len(docs)):
         build_matrix(docs[i:], vocab, "bernoulli")
         build_matrix(InternedDocuments.of(docs[i:]), vocab, "norm_freq")

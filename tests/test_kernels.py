@@ -6,40 +6,50 @@ import pytest
 from maiclass.classifiers.kernels import (
     KERNEL_KINDS,
     KernelParams,
-    kernel_eval,
     kernel_matrix,
 )
 from maiclass.errors import DimensionMismatch
 
 
+def pointwise_kernel(params, x, y):
+    """k(x, y) for two vectors, straight from each family's formula."""
+    if params.kind == "linear":
+        return float(x @ y)
+    if params.kind == "poly":
+        return float((params.gamma * (x @ y) + params.coef0) ** params.degree)
+    if params.kind == "rbf":
+        diff = x - y
+        return float(np.exp(-params.gamma * (diff @ diff)))
+    return float(np.tanh(params.gamma * (x @ y) + params.coef0))
+
+
 def test_linear_dot_product():
     params = KernelParams(kind="linear", gamma=1.0)
-    assert kernel_eval(params, np.array([1.0, 2.0]),
-                       np.array([3.0, 4.0])) == 11.0
+    assert kernel_matrix(params, [[1.0, 2.0]], [[3.0, 4.0]])[0, 0] == 11.0
 
 
 def test_rbf_at_identical_points():
     params = KernelParams(kind="rbf", gamma=0.37)
-    x = np.array([2.0, -5.0, 1.0])
-    assert kernel_eval(params, x, x) == 1.0
+    x = np.array([[2.0, -5.0, 1.0]])
+    assert kernel_matrix(params, x, x)[0, 0] == 1.0
 
 
 def test_rbf_hand_value():
     params = KernelParams(kind="rbf", gamma=0.5)
-    assert np.isclose(kernel_eval(params, np.array([0.0]), np.array([2.0])),
+    assert np.isclose(kernel_matrix(params, [[0.0]], [[2.0]])[0, 0],
                       np.exp(-2.0))
 
 
 def test_poly_hand_value():
     params = KernelParams(kind="poly", gamma=0.5, degree=3, coef0=0.0)
-    x = np.array([1.0, 0.0])
-    assert kernel_eval(params, x, x) == 0.125
+    x = np.array([[1.0, 0.0]])
+    assert kernel_matrix(params, x, x)[0, 0] == 0.125
 
 
 def test_sigmoid_hand_value():
     params = KernelParams(kind="sigmoid", gamma=0.1, coef0=-0.2)
     assert np.isclose(
-        kernel_eval(params, np.array([1.0, 2.0]), np.array([3.0, 4.0])),
+        kernel_matrix(params, [[1.0, 2.0]], [[3.0, 4.0]])[0, 0],
         np.tanh(0.1 * 11.0 - 0.2))
 
 
@@ -66,7 +76,7 @@ def test_matrix_agrees_with_pointwise_eval(kind):
     assert M.shape == (6, 4)
     for i in range(6):
         for j in range(4):
-            assert np.isclose(M[i, j], kernel_eval(params, A[i], B[j]),
+            assert np.isclose(M[i, j], pointwise_kernel(params, A[i], B[j]),
                               atol=1e-12)
 
 
@@ -84,6 +94,6 @@ def test_symmetric_matrix_when_b_omitted():
 def test_dimension_mismatch():
     params = KernelParams(kind="linear", gamma=1.0)
     with pytest.raises(DimensionMismatch):
-        kernel_eval(params, np.zeros(2), np.zeros(3))
+        kernel_matrix(params, np.zeros((1, 2)), np.zeros((1, 3)))
     with pytest.raises(DimensionMismatch):
         kernel_matrix(params, np.zeros((2, 2)), np.zeros((2, 3)))

@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maiclass.classifiers.neighbors import KNeighbors
 
@@ -65,3 +66,37 @@ def test_k_capped_at_training_size():
 def test_k_validation():
     with pytest.raises(ValueError):
         KNeighbors(k=0)
+
+
+@st.composite
+def tied_problems(draw):
+    """Small-integer rows drawn from a pool of at most four, so training
+    rows repeat and many query distances tie, with labels, k and queries."""
+    d = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    pool = draw(st.lists(row, min_size=1, max_size=4))
+    n = draw(st.integers(1, 40))
+    X = np.array(draw(st.lists(st.sampled_from(pool), min_size=n,
+                               max_size=n)), dtype=np.float64)
+    n_classes = draw(st.integers(2, 4))
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n,
+                               max_size=n)))
+    k = draw(st.integers(1, n + 2))
+    queries = np.array(draw(st.lists(st.one_of(st.sampled_from(pool), row),
+                                     min_size=1, max_size=6)),
+                       dtype=np.float64)
+    return X, y, n_classes, k, queries
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_problems())
+def test_tied_distances_follow_the_brute_force_order(problem):
+    X, y, n_classes, k, queries = problem
+    est = KNeighbors(k=k).fit(X, y, n_classes)
+    neighbours = est.kneighbors(queries)
+    codes = est.predict_codes(queries)
+    for q, got, pred in zip(queries, neighbours, codes):
+        d2 = [float(np.sum((q - row) ** 2)) for row in X]
+        order = sorted(range(len(X)), key=lambda i: (d2[i], i))[:k]
+        assert got.tolist() == order
+        assert pred == brute_force_predict(X, y, q, k, n_classes)

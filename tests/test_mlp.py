@@ -81,9 +81,10 @@ def test_xor_lbfgs_reaches_zero_training_error():
     est.fit(XOR_X, XOR_Y, 2, rng=np.random.default_rng(0))
     assert est.predict_codes(XOR_X).tolist() == XOR_Y.tolist()
     # Oracle for "converged": the fitted net is confident, with mean
-    # cross-entropy on the training points below 1e-2.
-    proba = est.predict_proba(XOR_X)
-    ce = -float(np.mean(np.log(proba[np.arange(4), XOR_Y])))
+    # cross-entropy on the training points below 1e-2 (alpha 0 leaves the
+    # loss without its penalty).
+    ce, _ = mlp_loss_and_grad(est.theta, XOR_X, np.eye(2)[XOR_Y],
+                              est.hidden, 0.0)
     assert ce < 1e-2
 
 
@@ -111,17 +112,6 @@ def test_fixed_rng_makes_fit_deterministic():
     b = MlpClassifier(solver="lbfgs", hidden=20)
     b.fit(XOR_X, XOR_Y, 2, rng=np.random.default_rng(5))
     assert np.array_equal(a.theta, b.theta)
-
-
-def test_predict_proba_rows_normalised():
-    rng = np.random.default_rng(2)
-    X = rng.normal(size=(15, 3))
-    y = rng.integers(0, 2, size=15)
-    est = MlpClassifier(solver="lbfgs", hidden=8, max_iterations=50)
-    est.fit(X, y, 2, rng=rng)
-    proba = est.predict_proba(X)
-    assert proba.shape == (15, 2)
-    assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_adam_fit_runs_the_network_once_per_step(monkeypatch):

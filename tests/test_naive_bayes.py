@@ -9,12 +9,14 @@ from maiclass.classifiers.naive_bayes import (
     BernoulliNaiveBayes,
     GaussianNaiveBayes,
     MultinomialNaiveBayes,
-    softmax_rows,
 )
 
 
 def posteriors(est, X):
-    return softmax_rows(est.log_joint(X))
+    """Row-wise softmax of the joint log-likelihoods."""
+    joint = est.log_joint(X)
+    e = np.exp(joint - joint.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def test_bernoulli_hand_posterior():

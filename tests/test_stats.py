@@ -252,7 +252,7 @@ def test_describe_basics():
     assert stats.total == 3.0
     assert stats.mean == 1.0
     assert stats.median == 1.0
-    assert stats.count_of(1.0) == 3
+    assert stats.values == (1.0, 1.0, 1.0)
     assert stats.n == 3
 
 
