@@ -5,6 +5,12 @@ hyperparameter overrides; :func:`train` resolves it against a feature matrix
 and returns a :class:`TrainedModel` that predicts string labels. Class codes
 are always assigned by sorted label order, so results do not depend on the
 order documents appear in.
+
+:func:`train` and :func:`predict` are the one place that checks estimator
+input: ``fit(X, y, n_classes, rng)`` always gets a finite float64 ``X`` of
+shape ``(len(y), d)`` with ``d >= 1``, int64 codes ``y`` in ``[0, n_classes)``
+with ``n_classes >= 2`` and a seeded generator; ``predict_codes(X)`` a finite
+float64 ``X`` of shape ``(n, d)``. Estimators convert and check none of it.
 """
 
 from __future__ import annotations
@@ -124,15 +130,21 @@ def _resolve_data(data):
         rows, labels = data.rows, data.labels
     else:
         rows, labels = data
-    return _require_finite(np.asarray(rows, dtype=np.float64)), tuple(labels)
+    X, labels = np.asarray(rows, dtype=np.float64), tuple(labels)
+    if X.ndim != 2 or X.shape[0] != len(labels) or not X.shape[1]:
+        raise DimensionMismatch(
+            f"expected 2-D rows with at least one column, one per label "
+            f"({len(labels)}), got shape {X.shape}")
+    return _require_finite(X), labels
 
 
 def train(spec: ClassifierSpec, data, seed: int = 0) -> TrainedModel:
     """Fit one classifier; ``data`` is a FeatureMatrix or (rows, labels).
 
     ``seed`` only influences algorithms with random initialisation (the two
-    MLPs); everything else is deterministic regardless. Rows holding NaN or
-    an infinity raise :class:`NumericalFailure`.
+    MLPs); everything else is deterministic regardless. Rows not of shape
+    ``(len(labels), d)`` with ``d >= 1`` raise :class:`DimensionMismatch`;
+    rows holding NaN or an infinity raise :class:`NumericalFailure`.
     """
     X, labels = _resolve_data(data)
     classes = tuple(sorted(set(labels)))

@@ -53,16 +53,14 @@ class LogisticRegressionOVR:
         self.biases = None
 
     def fit(self, X, y, n_classes, rng=None):
-        Xa = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y)
-        d = Xa.shape[1]
+        d = X.shape[1]
         self.weights = np.zeros((n_classes, d))
         self.biases = np.zeros(n_classes)
         for cls_code in range(n_classes):
             y_pm = np.where(y == cls_code, 1.0, -1.0)
 
             def oracle(wb, _y=y_pm):
-                return logistic_loss_and_grad(wb, Xa, _y, self.c)
+                return logistic_loss_and_grad(wb, X, _y, self.c)
 
             try:
                 res = lbfgs_minimize(oracle, np.zeros(d + 1),
@@ -77,8 +75,7 @@ class LogisticRegressionOVR:
         return self
 
     def decision(self, X) -> np.ndarray:
-        Xa = np.asarray(X, dtype=np.float64)
-        return Xa @ self.weights.T + self.biases
+        return X @ self.weights.T + self.biases
 
     def predict_codes(self, X):
         return np.argmax(self.decision(X), axis=1)

@@ -118,9 +118,7 @@ class MlpClassifier:
         self.n_classes = None
 
     def fit(self, X, y, n_classes, rng=None):
-        Xa = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y)
-        n, d = Xa.shape
+        n, d = X.shape
         Y = np.zeros((n, n_classes))
         Y[np.arange(n), y] = 1.0
         if rng is None:
@@ -129,7 +127,7 @@ class MlpClassifier:
         workspace = MlpWorkspace(n, d, self.hidden)
 
         def oracle(t):
-            return mlp_loss_and_grad(t, Xa, Y, self.hidden, self.alpha,
+            return mlp_loss_and_grad(t, X, Y, self.hidden, self.alpha,
                                      workspace)
 
         if self.solver == "lbfgs":
@@ -153,8 +151,7 @@ class MlpClassifier:
         return self
 
     def predict_codes(self, X):
-        Xa = np.asarray(X, dtype=np.float64)
         W1, b1, W2, b2 = _unpack(self.theta, self.n_features, self.hidden,
                                  self.n_classes)
-        A1 = np.maximum(Xa @ W1 + b1, 0.0)
+        A1 = np.maximum(X @ W1 + b1, 0.0)
         return np.argmax(A1 @ W2 + b2, axis=1)

@@ -22,18 +22,18 @@ class KNeighbors:
         self.n_classes = 0
 
     def fit(self, X, y, n_classes, rng=None):
-        self.train_x = np.asarray(X, dtype=np.float64).copy()
-        self.train_y = np.asarray(y, dtype=np.int64).copy()
+        # Copies: the caller may reuse X's buffer for its next matrix.
+        self.train_x = X.copy()
+        self.train_y = y.copy()
         self.n_classes = n_classes
         return self
 
     def kneighbors(self, X) -> np.ndarray:
         """Indices of the k nearest training rows for each query row."""
-        Xa = np.asarray(X, dtype=np.float64)
         k = min(self.k, self.train_x.shape[0])
-        out = np.empty((Xa.shape[0], k), dtype=np.intp)
-        for r in range(Xa.shape[0]):
-            diff = self.train_x - Xa[r]
+        out = np.empty((X.shape[0], k), dtype=np.intp)
+        for r in range(X.shape[0]):
+            diff = self.train_x - X[r]
             d2 = np.sum(diff * diff, axis=1)
             # A stable sort keeps equal distances in training-row order.
             out[r] = np.argsort(d2, kind="stable")[:k]

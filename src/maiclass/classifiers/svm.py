@@ -52,9 +52,7 @@ class KernelSvm:
         self.converged = True
 
     def fit(self, X, y, n_classes, rng=None):
-        Xa = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y)
-        gamma = 1.0 / Xa.shape[1] if self.gamma is None else self.gamma
+        gamma = 1.0 / X.shape[1] if self.gamma is None else self.gamma
         self.params = KernelParams(kind=self.kernel, gamma=gamma,
                                    degree=self.degree, coef0=self.coef0)
         self.n_classes = n_classes
@@ -63,7 +61,7 @@ class KernelSvm:
         for a in range(n_classes):
             for b in range(a + 1, n_classes):
                 idx = np.nonzero((y == a) | (y == b))[0]
-                rows = Xa[idx]
+                rows = X[idx]
                 y_pm = np.where(y[idx] == a, 1.0, -1.0)
                 K = kernel_matrix(self.params, rows)
                 sol = smo_solve(K, y_pm, c=self.c, tolerance=self.tolerance,
@@ -71,17 +69,16 @@ class KernelSvm:
                 sv = np.asarray(sol.support_indices, dtype=np.intp)
                 coef = (sol.alphas * y_pm)[sv]
                 self.machines.append(_PairMachine(
-                    class_a=a, class_b=b, sv_x=rows[sv].copy(),
+                    class_a=a, class_b=b, sv_x=rows[sv],
                     dual_coef=coef, bias=sol.bias))
                 self.converged = self.converged and sol.converged
         return self
 
     def decision_pairs(self, X) -> np.ndarray:
         """Decision value of every pair machine; shape (n, n_pairs)."""
-        Xa = np.asarray(X, dtype=np.float64)
-        out = np.empty((Xa.shape[0], len(self.machines)))
+        out = np.empty((X.shape[0], len(self.machines)))
         for k, mach in enumerate(self.machines):
-            K = kernel_matrix(self.params, Xa, mach.sv_x)
+            K = kernel_matrix(self.params, X, mach.sv_x)
             out[:, k] = K @ mach.dual_coef + mach.bias
         return out
 
@@ -97,13 +94,13 @@ class KernelSvm:
             votes[~wins_a, mach.class_b] += 1
             conf[:, mach.class_a] += f
             conf[:, mach.class_b] -= f
-        out = np.zeros(n, dtype=np.int64)
-        for r in range(n):
-            w = 0
-            for cls in range(1, self.n_classes):
-                if votes[r, cls] > votes[r, w] or (
-                        votes[r, cls] == votes[r, w]
-                        and conf[r, cls] > conf[r, w]):
-                    w = cls
-            out[r] = w
-        return out
+        return _vote_winners(votes, conf)
+
+
+def _vote_winners(votes: np.ndarray, conf: np.ndarray) -> np.ndarray:
+    """Per row: most votes, then highest summed decision ``conf``, then
+    lowest code. A NaN ``conf`` among the top-voted classes makes their
+    maximum NaN, which nothing is below, so the lowest of them wins."""
+    top = votes == votes.max(axis=1, keepdims=True)
+    conf = np.where(top, conf, -np.inf)
+    return np.argmax(top & ~(conf < conf.max(axis=1, keepdims=True)), axis=1)

@@ -26,8 +26,6 @@ class DecisionTree:
         self.leaf_class: list = []
 
     def fit(self, X, y, n_classes, rng=None):
-        Xa = np.ascontiguousarray(X, dtype=np.float64)
-        ya = np.ascontiguousarray(y, dtype=np.int64)
         self.feature = []
         self.threshold = []
         self.left = []
@@ -35,7 +33,7 @@ class DecisionTree:
         self.leaf_class = []
         # Work stack keeps growth iterative; pushing the right child first
         # makes node ids come out in preorder.
-        stack = [(np.arange(Xa.shape[0]), -1, False)]
+        stack = [(np.arange(X.shape[0]), -1, False)]
         while stack:
             idx, parent, is_left = stack.pop()
             node = self._new_node()
@@ -44,16 +42,16 @@ class DecisionTree:
                     self.left[parent] = node
                 else:
                     self.right[parent] = node
-            counts = np.bincount(ya[idx], minlength=n_classes)
+            counts = np.bincount(y[idx], minlength=n_classes)
             majority = int(np.argmax(counts))
             if counts[majority] == idx.shape[0]:
                 self.leaf_class[node] = majority
                 continue
-            feat, thr, found = _core.best_split(Xa[idx], ya[idx], n_classes)
+            feat, thr, found = _core.best_split(X[idx], y[idx], n_classes)
             if not found:
                 self.leaf_class[node] = majority
                 continue
-            go_left = Xa[idx, feat] <= thr
+            go_left = X[idx, feat] <= thr
             self.feature[node] = int(feat)
             self.threshold[node] = float(thr)
             stack.append((idx[~go_left], node, False))
@@ -69,12 +67,11 @@ class DecisionTree:
         return len(self.feature) - 1
 
     def predict_codes(self, X):
-        Xa = np.asarray(X, dtype=np.float64)
-        out = np.empty(Xa.shape[0], dtype=np.int64)
-        for r in range(Xa.shape[0]):
+        out = np.empty(X.shape[0], dtype=np.int64)
+        for r in range(X.shape[0]):
             node = 0
             while self.feature[node] >= 0:
-                if Xa[r, self.feature[node]] <= self.threshold[node]:
+                if X[r, self.feature[node]] <= self.threshold[node]:
                     node = self.left[node]
                 else:
                     node = self.right[node]

@@ -40,25 +40,14 @@ def _midranks(pooled: np.ndarray) -> Tuple[np.ndarray, int, float]:
     """Midranks of the pooled sample, tie-group count, and tie correction.
 
     The correction term is ``sum(t^3 - t)`` over groups of size t."""
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(pooled.shape[0])
-    tie_groups = 0
-    correction = 0.0
-    i = 0
-    n = pooled.shape[0]
-    while i < n:
-        j = i
-        while j + 1 < n and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        # Positions i..j (0-based) share ranks i+1..j+1; assign the average.
-        avg = (i + j + 2) / 2.0
-        ranks[order[i:j + 1]] = avg
-        t = j - i + 1
-        if t > 1:
-            tie_groups += 1
-            correction += t ** 3 - t
-        i = j + 1
-    return ranks, tie_groups, correction
+    _, group, size = np.unique(pooled, return_inverse=True,
+                               return_counts=True)
+    # A group of t values after ``first`` smaller ones shares the ranks
+    # first+1 .. first+t; each of its values gets their mean.
+    first = np.cumsum(size) - size
+    ties = size[size > 1].astype(np.float64)
+    return ((first + (size + 1) / 2.0)[group], int(ties.size),
+            float(np.sum(ties ** 3 - ties)))
 
 
 def _normal_sf(z: float) -> float:
@@ -178,10 +167,6 @@ class DescriptiveStats:
     mean: float
     median: float
     values: Tuple[float, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
 
 
 def describe(scores: Sequence[float]) -> DescriptiveStats:

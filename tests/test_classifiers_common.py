@@ -98,6 +98,17 @@ def test_wrong_width_rejected():
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
+def test_misshapen_training_rows_rejected(algo):
+    spec = ClassifierSpec(algorithm=algo)
+    with pytest.raises(DimensionMismatch):
+        train(spec, (np.array([0.0, 1.0, 2.0, 3.0]), ["a", "b", "a", "b"]))
+    with pytest.raises(DimensionMismatch):
+        train(spec, (np.eye(4), ["a", "b", "a"]))
+    with pytest.raises(DimensionMismatch):
+        train(spec, (np.zeros((4, 0)), ["a", "b", "a", "b"]))
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
 def test_no_query_rows_give_no_labels(algo):
     rows, labels = blob_data()
     model = train(ClassifierSpec(algorithm=algo), (rows, labels))

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from maiclass.classifiers import ClassifierSpec, predict, train
-from maiclass.classifiers.svm import KernelSvm
+from maiclass.classifiers.svm import KernelSvm, _vote_winners
 
 
 def test_two_point_linear_example():
@@ -72,6 +74,37 @@ def test_vote_tie_falls_back_to_confidence_then_lowest():
     codes = est.predict_codes(np.zeros((3, 1)))
     # With no machines everything is a 0-0 tie; the lowest class wins.
     assert codes.tolist() == [0, 0, 0]
+
+
+def loop_vote_winners(votes, conf):
+    """Oracle: per row, walk the classes and keep the better one."""
+    out = np.zeros(votes.shape[0], dtype=np.int64)
+    for r in range(votes.shape[0]):
+        w = 0
+        for cls in range(1, votes.shape[1]):
+            if votes[r, cls] > votes[r, w] or (
+                    votes[r, cls] == votes[r, w]
+                    and conf[r, cls] > conf[r, w]):
+                w = cls
+        out[r] = w
+    return out
+
+
+@given(st.data())
+def test_vote_winners_match_class_loop(data):
+    shape = data.draw(st.tuples(st.integers(0, 8), st.integers(2, 5)))
+    # Few distinct votes and decision sums, so most rows hold ties of both.
+    votes = data.draw(arrays(np.int64, shape, elements=st.integers(0, 2)))
+    conf = data.draw(arrays(np.float64, shape, elements=st.sampled_from(
+        [-np.inf, -1.0, -0.0, 0.0, 2.5, np.inf]) | st.floats(allow_nan=False)))
+    assert _vote_winners(votes, conf).tolist() \
+        == loop_vote_winners(votes, conf).tolist()
+
+
+def test_nan_decision_still_picks_a_most_voted_class():
+    votes = np.array([[0, 1, 1], [2, 2, 0]])
+    conf = np.array([[9.0, np.nan, 1.0], [np.nan, 1.0, 5.0]])
+    assert _vote_winners(votes, conf).tolist() == [1, 0]
 
 
 def test_refuses_bad_c():
