@@ -1,108 +1,12 @@
-"""NumPy kernels for the two hot loops: the SVM dual working-set solver
-(``smo_optimize``) and the decision-tree split scan (``best_split``).
+"""NumPy kernel for the decision-tree split scan (``best_split``).
 
-Both run a fixed sequence of float64 and integer operations, so the same
+It runs a fixed sequence of float64 and integer operations, so the same
 input always gives bit-identical output; the reproducible F1 grid rests on
 that. ``best_split`` scans every feature of a node in one pass over the whole
 matrix, with O(n*d) scratch per node instead of a Python loop per feature.
 """
 
 import numpy as np
-
-_TAU = 1e-12
-
-
-def smo_optimize(Q, y, C, tol, max_iter):
-    """Run SMO working-set iterations on the dual problem.
-
-    Q is the (n, n) matrix ``outer(y, y) * K``, y holds +/-1 floats. Returns
-    ``(alpha, grad, iterations, converged)`` where grad is the final dual
-    gradient ``Q @ alpha - 1``.
-    """
-    Q = np.ascontiguousarray(Q, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    n = Q.shape[0]
-    alpha = np.zeros(n, dtype=np.float64)
-    grad = np.full(n, -1.0, dtype=np.float64)
-    pos = y > 0.0
-    converged = False
-    it = 0
-    while it < max_iter:
-        # Maximal-violating-pair selection on the scaled gradient -y*G.
-        yg = -y * grad
-        up = np.where(pos, alpha < C, alpha > 0.0)
-        low = np.where(pos, alpha > 0.0, alpha < C)
-        if not up.any() or not low.any():
-            converged = True
-            break
-        up_vals = np.where(up, yg, -np.inf)
-        low_vals = np.where(low, yg, np.inf)
-        i = int(np.argmax(up_vals))
-        j = int(np.argmin(low_vals))
-        if up_vals[i] - low_vals[j] <= tol:
-            converged = True
-            break
-
-        Qi = Q[i]
-        Qj = Q[j]
-        old_ai = float(alpha[i])
-        old_aj = float(alpha[j])
-        if y[i] != y[j]:
-            quad = Qi[i] + Qj[j] + 2.0 * Qi[j]
-            if quad <= 0.0:
-                quad = _TAU
-            delta = (-grad[i] - grad[j]) / quad
-            diff = old_ai - old_aj
-            ai = old_ai + delta
-            aj = old_aj + delta
-            if diff > 0.0:
-                if aj < 0.0:
-                    aj = 0.0
-                    ai = diff
-            else:
-                if ai < 0.0:
-                    ai = 0.0
-                    aj = -diff
-            if diff > 0.0:
-                if ai > C:
-                    ai = C
-                    aj = C - diff
-            else:
-                if aj > C:
-                    aj = C
-                    ai = C + diff
-        else:
-            quad = Qi[i] + Qj[j] - 2.0 * Qi[j]
-            if quad <= 0.0:
-                quad = _TAU
-            delta = (grad[i] - grad[j]) / quad
-            total = old_ai + old_aj
-            ai = old_ai - delta
-            aj = old_aj + delta
-            if total > C:
-                if ai > C:
-                    ai = C
-                    aj = total - C
-            else:
-                if aj < 0.0:
-                    aj = 0.0
-                    ai = total
-            if total > C:
-                if aj > C:
-                    aj = C
-                    ai = total - C
-            else:
-                if ai < 0.0:
-                    ai = 0.0
-                    aj = total
-        alpha[i] = ai
-        alpha[j] = aj
-        dai = ai - old_ai
-        daj = aj - old_aj
-        grad += dai * Qi
-        grad += daj * Qj
-        it += 1
-    return alpha, grad, it, converged
 
 
 def best_split(X, y, n_classes):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..optim import lbfgs_minimize
-from ..errors import LineSearchFailure
 
 
 def _log1pexp(t: np.ndarray) -> np.ndarray:
@@ -62,14 +61,8 @@ class LogisticRegressionOVR:
             def oracle(wb, _y=y_pm):
                 return logistic_loss_and_grad(wb, X, _y, self.c)
 
-            try:
-                res = lbfgs_minimize(oracle, np.zeros(d + 1),
-                                     self.max_iterations, self.tolerance)
-                wb = res.x
-            except LineSearchFailure as exc:
-                # Convex and smooth, so this only fires at numeric limits;
-                # the best iterate is still a usable model.
-                wb = exc.best_x
+            wb = lbfgs_minimize(oracle, np.zeros(d + 1), self.max_iterations,
+                                self.tolerance).x
             self.weights[cls_code] = wb[:-1]
             self.biases[cls_code] = wb[-1]
         return self

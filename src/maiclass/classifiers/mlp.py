@@ -8,7 +8,6 @@ from typing import Tuple
 import numpy as np
 
 from ..optim import adam_minimize, lbfgs_minimize, split_oracle
-from ..errors import LineSearchFailure
 
 
 def _unpack(theta: np.ndarray, d: int, h: int, c: int):
@@ -131,21 +130,14 @@ class MlpClassifier:
                                      workspace)
 
         if self.solver == "lbfgs":
-            try:
-                res = lbfgs_minimize(oracle, theta0, self.max_iterations,
-                                     self.tolerance)
-                theta = res.x
-            except LineSearchFailure as exc:
-                # ReLU kinks can defeat the Wolfe conditions; keep the best
-                # iterate reached instead of failing the whole fit.
-                theta = exc.best_x
+            res = lbfgs_minimize(oracle, theta0, self.max_iterations,
+                                 self.tolerance)
         else:
             objective, gradient = split_oracle(oracle)
             res = adam_minimize(gradient, theta0, objective,
                                 self.max_iterations, self.tolerance,
                                 self.learning_rate)
-            theta = res.x
-        self.theta = theta
+        self.theta = res.x
         self.n_features = d
         self.n_classes = n_classes
         return self

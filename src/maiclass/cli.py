@@ -132,12 +132,12 @@ def _cmd_eval(args) -> int:
         lines = ["| algorithm | vector model | class | mean F1 |",
                  "|---|---|---|---|"]
         for res in results:
-            for label in res.classes:
+            for label, mean in res.mean_f1.items():
                 # A bare "|" in a label would end its cell early, and a
                 # line break would end its row.
                 cell = one_line(label).replace("|", "\\|")
                 lines.append(f"| {res.algorithm} | {res.vector_model} "
-                             f"| {cell} | {res.mean_f1[label]:.6f} |")
+                             f"| {cell} | {mean:.6f} |")
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return 0

@@ -127,10 +127,6 @@ class NumericalFailure(MaiclassError):
     """An oracle or optimizer produced a non-finite value."""
 
 
-class LineSearchFailure(MaiclassError):
-    """No step satisfying the Wolfe conditions could be found."""
-
-
 class Unsupported(MaiclassError):
     """The requested operation is not available for this model type."""
 

@@ -253,9 +253,9 @@ def results_to_csv(results: Sequence[EvalResult]) -> str:
     header.append("mean_f1")
     lines = [_csv_line(header)]
     for res in results:
-        for label in res.classes:
+        for label, mean in res.mean_f1.items():
             cells = [res.algorithm, res.vector_model, label]
             cells += [f"{r.per_class[label]:.6f}" for r in res.runs]
-            cells.append(f"{res.mean_f1[label]:.6f}")
+            cells.append(f"{mean:.6f}")
             lines.append(_csv_line(cells))
     return "".join(lines)

@@ -2,7 +2,13 @@
 
 All three are deterministic given their inputs. ``lbfgs_minimize`` and
 ``adam_minimize`` work on flat float64 parameter vectors; ``smo_solve``
-handles box-constrained SVM duals through the :mod:`maiclass._core` kernels.
+handles box-constrained SVM duals with maximal-violating-pair working sets.
+
+All three stop the same way: not converging is a result, never an
+exception. A solver that runs out of iterations, or an L-BFGS line search
+that finds no Wolfe step, returns the best iterate so far, its iteration
+count and ``converged=False``. Only bad input raises: an invalid argument,
+or a non-finite value the solver cannot step past (:class:`NumericalFailure`).
 """
 
 from __future__ import annotations
@@ -13,13 +19,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    LengthMismatch,
-    LineSearchFailure,
-    NumericalFailure,
-)
-from . import _core
+from .errors import DimensionMismatch, LengthMismatch, NumericalFailure
 
 Oracle = Callable[[np.ndarray], Tuple[float, np.ndarray]]
 
@@ -32,6 +32,8 @@ _HISTORY_SIZE = 10
 _BETA1 = 0.9
 _BETA2 = 0.999
 _EPSILON = 1e-8
+# SMO's stand-in for a non-positive curvature along the working pair.
+_TAU = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,10 @@ def _quad_trial(a_lo, f_lo, d_lo, a_hi, f_hi):
 
 def _zoom(objective, x, d, f0, g0d, a_lo, f_lo, d_lo, g_lo, a_hi, f_hi,
           max_iter=30):
-    """Nocedal-Wright zoom stage; shrinks [a_lo, a_hi] to a Wolfe point."""
+    """Nocedal-Wright zoom stage; shrinks [a_lo, a_hi] to a Wolfe point.
+
+    Returns ``(step, f, g)``, or ``None`` when no Wolfe point is found.
+    """
     for _ in range(max_iter):
         trial = _quad_trial(a_lo, f_lo, d_lo, a_hi, f_hi)
         if trial is None:
@@ -99,13 +104,11 @@ def _zoom(objective, x, d, f0, g0d, a_lo, f_lo, d_lo, g_lo, a_hi, f_hi,
             a_lo, f_lo, d_lo, g_lo = trial, f_t, d_t, g_t
         if abs(a_hi - a_lo) <= 1e-16 * max(1.0, abs(a_lo)):
             break
-    # The shrunken interval may still hold an acceptable sufficient-decrease
-    # point; prefer reporting failure with the best point seen so far.
-    raise LineSearchFailure()
+    return None
 
 
 def _line_search(objective, x, d, f0, g0d, a_init, max_iter=25):
-    """Strong Wolfe search (c1=1e-4, c2=0.9); returns (step, f, g)."""
+    """Strong Wolfe search (c1=1e-4, c2=0.9); returns (step, f, g) or None."""
     a_prev, f_prev = 0.0, f0
     d_prev, g_prev = g0d, None
     a = a_init
@@ -123,7 +126,7 @@ def _line_search(objective, x, d, f0, g0d, a_init, max_iter=25):
                          a, f_a, d_a, g_a, a_prev, f_prev)
         a_prev, f_prev, d_prev, g_prev = a, f_a, d_a, g_a
         a = 2.0 * a
-    raise LineSearchFailure()
+    return None
 
 
 def lbfgs_minimize(objective: Oracle, x0, max_iterations: int = 200,
@@ -131,10 +134,11 @@ def lbfgs_minimize(objective: Oracle, x0, max_iterations: int = 200,
     """Limited-memory BFGS with a strong Wolfe line search.
 
     ``objective(x)`` must return ``(value, gradient)``. Raises
-    :class:`NumericalFailure` when the oracle is non-finite at ``x0`` and
-    :class:`LineSearchFailure` (carrying ``best_x``/``best_f``) when no step
-    satisfies the Wolfe conditions. Stops when the gradient 2-norm drops to
-    ``tolerance``.
+    :class:`NumericalFailure` when the oracle is non-finite at ``x0``.
+    Converges when the gradient 2-norm drops to ``tolerance``. When no step
+    satisfies the Wolfe conditions, or the iteration budget runs out, the
+    best iterate so far is returned with ``converged=False``; ``iterations``
+    counts the accepted steps.
     """
     _check_budget(max_iterations, tolerance)
     x = _check_x0(x0)
@@ -155,13 +159,10 @@ def lbfgs_minimize(objective: Oracle, x0, max_iterations: int = 200,
             d = -g
             g0d = -float(g @ g)
         a_init = 1.0 if s_hist else min(1.0, 1.0 / max(gnorm, 1.0))
-        try:
-            a, f_new, g_new = _line_search(objective, x, d, f, g0d, a_init)
-        except LineSearchFailure as exc:
-            exc.best_x = best_x
-            exc.best_f = best_f
-            exc.iterations = iterations
-            raise
+        step = _line_search(objective, x, d, f, g0d, a_init)
+        if step is None:
+            break
+        a, f_new, g_new = step
         x_new = x + a * d
         s = x_new - x
         yv = g_new - g
@@ -336,11 +337,84 @@ def smo_solve(kernel, labels: Sequence[float], c: float = 1.0,
     if tolerance <= 0:
         raise ValueError("tolerance must be > 0")
     Q = (y[:, None] * y[None, :]) * K
-    alpha, grad, iterations, converged = _core.smo_optimize(
-        Q, y, float(c), float(tolerance), int(max_iterations))
+    n = Q.shape[0]
+    alpha = np.zeros(n, dtype=np.float64)
+    # The dual gradient Q @ alpha - 1, kept up to date pair by pair.
+    grad = np.full(n, -1.0, dtype=np.float64)
+    pos = y > 0.0
+    converged = False
+    iterations = 0
+    while iterations < max_iterations:
+        # Maximal-violating-pair selection on the scaled gradient -y*G.
+        yg = -y * grad
+        up = np.where(pos, alpha < c, alpha > 0.0)
+        low = np.where(pos, alpha > 0.0, alpha < c)
+        if not up.any() or not low.any():
+            converged = True
+            break
+        up_vals = np.where(up, yg, -np.inf)
+        low_vals = np.where(low, yg, np.inf)
+        i = int(np.argmax(up_vals))
+        j = int(np.argmin(low_vals))
+        if up_vals[i] - low_vals[j] <= tolerance:
+            converged = True
+            break
+
+        Qi = Q[i]
+        Qj = Q[j]
+        old_ai = float(alpha[i])
+        old_aj = float(alpha[j])
+        if y[i] != y[j]:
+            quad = Qi[i] + Qj[j] + 2.0 * Qi[j]
+            if quad <= 0.0:
+                quad = _TAU
+            delta = (-grad[i] - grad[j]) / quad
+            diff = old_ai - old_aj
+            ai = old_ai + delta
+            aj = old_aj + delta
+            if diff > 0.0:
+                if aj < 0.0:
+                    aj = 0.0
+                    ai = diff
+                if ai > c:
+                    ai = c
+                    aj = c - diff
+            else:
+                if ai < 0.0:
+                    ai = 0.0
+                    aj = -diff
+                if aj > c:
+                    aj = c
+                    ai = c + diff
+        else:
+            quad = Qi[i] + Qj[j] - 2.0 * Qi[j]
+            if quad <= 0.0:
+                quad = _TAU
+            delta = (grad[i] - grad[j]) / quad
+            total = old_ai + old_aj
+            ai = old_ai - delta
+            aj = old_aj + delta
+            if total > c:
+                if ai > c:
+                    ai = c
+                    aj = total - c
+                if aj > c:
+                    aj = c
+                    ai = total - c
+            else:
+                if aj < 0.0:
+                    aj = 0.0
+                    ai = total
+                if ai < 0.0:
+                    ai = 0.0
+                    aj = total
+        alpha[i] = ai
+        alpha[j] = aj
+        grad += (ai - old_ai) * Qi
+        grad += (aj - old_aj) * Qj
+        iterations += 1
     # Snap coefficients sitting a rounding error away from the box bounds.
     snap = 1e-12 * c
-    alpha = alpha.copy()
     alpha[alpha < snap] = 0.0
     alpha[alpha > c - snap] = c
     yg = -y * grad
@@ -348,7 +422,6 @@ def smo_solve(kernel, labels: Sequence[float], c: float = 1.0,
     if free.any():
         bias = float(np.mean(yg[free]))
     else:
-        pos = y > 0.0
         up = np.where(pos, alpha < c, alpha > 0.0)
         low = np.where(pos, alpha > 0.0, alpha < c)
         hi = float(np.max(yg[up])) if up.any() else math.nan
@@ -363,4 +436,4 @@ def smo_solve(kernel, labels: Sequence[float], c: float = 1.0,
             bias = 0.0
     support = tuple(int(i) for i in np.nonzero(alpha > 0.0)[0])
     return DualSolution(alphas=alpha, bias=bias, support_indices=support,
-                        converged=bool(converged), iterations=int(iterations))
+                        converged=converged, iterations=iterations)

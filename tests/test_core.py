@@ -8,7 +8,6 @@ from maiclass import _core
 
 def test_active_backend_exposed():
     assert maiclass.BACKEND == "python"
-    assert callable(_core.smo_optimize)
     assert callable(_core.best_split)
 
 
