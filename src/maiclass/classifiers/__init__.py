@@ -1,22 +1,24 @@
 """Uniform train/predict facade over the twelve classifier configurations.
 
-A :class:`ClassifierSpec` names one of the :data:`ALGORITHMS` plus optional
-hyperparameter overrides; :func:`train` resolves it against a feature matrix
-and returns a :class:`TrainedModel` that predicts string labels. Class codes
-are always assigned by sorted label order, so results do not depend on the
-order documents appear in.
+A :class:`ClassifierSpec` names one of the :data:`ALGORITHMS`, each a single
+fixed configuration; :func:`train` fits it to a feature matrix and returns a
+:class:`TrainedModel` that predicts string labels. Class codes are always
+assigned by sorted label order, so results do not depend on the order
+documents appear in.
 
 :func:`train` and :func:`predict` are the one place that checks estimator
 input: ``fit(X, y, n_classes, rng)`` always gets a finite float64 ``X`` of
 shape ``(len(y), d)`` with ``d >= 1``, int64 codes ``y`` in ``[0, n_classes)``
 with ``n_classes >= 2`` and a seeded generator; ``predict_codes(X)`` a finite
 float64 ``X`` of shape ``(n, d)``. Estimators convert and check none of it.
+Both run the estimator with NumPy's overflow, invalid and divide-by-zero
+flags raising, so finite rows that overflow an estimator's arithmetic end
+as :class:`NumericalFailure` rather than as a warning and a NaN.
 """
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -59,9 +61,9 @@ __all__ = [
     "KNeighbors",
 ]
 
-# Algorithm id -> (estimator class, constructor arguments the id fixes).
-# Every other constructor argument is a hyperparameter a spec may override;
-# its default lives only in the estimator's ``__init__``.
+# Algorithm id -> (estimator class, its constructor arguments). These are
+# the only settings an estimator takes; every other one is a constant in
+# the estimator's module.
 _ESTIMATORS = {
     "svm_linear": (KernelSvm, {"kernel": "linear"}),
     "svm_poly": (KernelSvm, {"kernel": "poly"}),
@@ -82,10 +84,9 @@ ALGORITHMS = tuple(_ESTIMATORS)
 
 @dataclass(frozen=True)
 class ClassifierSpec:
-    """Algorithm id plus hyperparameter overrides (defaults fill the rest)."""
+    """One of the :data:`ALGORITHMS`."""
 
     algorithm: str
-    hyperparams: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -100,15 +101,14 @@ class TrainedModel:
     estimator: object
 
 
-def _make_estimator(spec: ClassifierSpec):
-    cls, fixed = _ESTIMATORS[spec.algorithm]
-    allowed = set(inspect.signature(cls).parameters) - set(fixed)
-    unknown = set(spec.hyperparams) - allowed
-    if unknown:
-        raise ValueError(
-            f"unknown hyperparameter(s) {sorted(unknown)!r}; "
-            f"expected a subset of {sorted(allowed)!r}")
-    return cls(**fixed, **spec.hyperparams)
+def _run_estimator(algorithm: str, call, *args):
+    """``call(*args)`` with float overflow, invalid and divide-by-zero
+    raising; each ends as :class:`NumericalFailure` naming ``algorithm``."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return call(*args)
+    except FloatingPointError as exc:
+        raise NumericalFailure(f"{algorithm}: {exc}") from exc
 
 
 def _require_finite(X: np.ndarray) -> np.ndarray:
@@ -144,7 +144,8 @@ def train(spec: ClassifierSpec, data, seed: int = 0) -> TrainedModel:
     ``seed`` only influences algorithms with random initialisation (the two
     MLPs); everything else is deterministic regardless. Rows not of shape
     ``(len(labels), d)`` with ``d >= 1`` raise :class:`DimensionMismatch`;
-    rows holding NaN or an infinity raise :class:`NumericalFailure`.
+    rows holding NaN or an infinity, or whose values overflow the fit's
+    arithmetic, raise :class:`NumericalFailure`.
     """
     X, labels = _resolve_data(data)
     classes = tuple(sorted(set(labels)))
@@ -155,8 +156,9 @@ def train(spec: ClassifierSpec, data, seed: int = 0) -> TrainedModel:
     y = np.fromiter((code_of[l] for l in labels), dtype=np.int64,
                     count=len(labels))
     rng = np.random.default_rng(seed)
-    estimator = _make_estimator(spec)
-    estimator.fit(X, y, len(classes), rng)
+    cls, fixed = _ESTIMATORS[spec.algorithm]
+    estimator = cls(**fixed)
+    _run_estimator(spec.algorithm, estimator.fit, X, y, len(classes), rng)
     return TrainedModel(spec=spec, classes=classes,
                         n_features=X.shape[1], estimator=estimator)
 
@@ -173,6 +175,7 @@ def _check_rows(model: TrainedModel, rows) -> np.ndarray:
 def predict(model: TrainedModel, rows) -> List[str]:
     """Predicted labels for a 2-D array of feature rows."""
     X = _check_rows(model, rows)
-    codes = model.estimator.predict_codes(X)
+    codes = _run_estimator(model.spec.algorithm,
+                           model.estimator.predict_codes, X)
     return [model.classes[c] for c in codes]
 

@@ -38,16 +38,16 @@ def logistic_loss_and_grad(wb: np.ndarray, X: np.ndarray, y_pm: np.ndarray,
     return loss, grad
 
 
+# Inverse L2 strength of every one-vs-rest model, and its L-BFGS budget.
+C = 1.0
+MAX_ITERATIONS = 200
+TOLERANCE = 1e-6
+
+
 class LogisticRegressionOVR:
     """One binary logistic model per class; the highest margin wins."""
 
-    def __init__(self, c: float = 1.0, max_iterations: int = 200,
-                 tolerance: float = 1e-6):
-        if c <= 0:
-            raise ValueError("c must be > 0")
-        self.c = c
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
+    def __init__(self):
         self.weights = None
         self.biases = None
 
@@ -59,10 +59,10 @@ class LogisticRegressionOVR:
             y_pm = np.where(y == cls_code, 1.0, -1.0)
 
             def oracle(wb, _y=y_pm):
-                return logistic_loss_and_grad(wb, X, _y, self.c)
+                return logistic_loss_and_grad(wb, X, _y, C)
 
-            wb = lbfgs_minimize(oracle, np.zeros(d + 1), self.max_iterations,
-                                self.tolerance).x
+            wb = lbfgs_minimize(oracle, np.zeros(d + 1), MAX_ITERATIONS,
+                                TOLERANCE).x
             self.weights[cls_code] = wb[:-1]
             self.biases[cls_code] = wb[-1]
         return self

@@ -96,23 +96,24 @@ def init_glorot(rng: np.random.Generator, d: int, hidden: int, c: int,
                            W2.ravel(), np.zeros(c)])
 
 
-class MlpClassifier:
-    """100-unit ReLU hidden layer, softmax output."""
+# The one network both solvers train: hidden width, L2 strength, iteration
+# cap, Adam's step size, and the gradient tolerance both solvers stop at.
+HIDDEN = 100
+ALPHA = 1e-4
+MAX_ITERATIONS = 200
+LEARNING_RATE = 0.001
+TOLERANCE = 1e-5
 
-    def __init__(self, solver: str = "lbfgs", hidden: int = 100,
-                 alpha: float = 1e-4, max_iterations: int = 200,
-                 learning_rate: float = 0.001, tolerance: float = 1e-5):
+
+class MlpClassifier:
+    """ReLU hidden layer of ``HIDDEN`` units, softmax output."""
+
+    def __init__(self, solver: str):
         if solver not in ("lbfgs", "adam"):
             raise ValueError(f"unknown solver {solver!r}")
-        if hidden < 1:
-            raise ValueError("hidden must be >= 1")
         self.solver = solver
-        self.hidden = hidden
-        self.alpha = alpha
-        self.max_iterations = max_iterations
-        self.learning_rate = learning_rate
-        self.tolerance = tolerance
         self.theta = None
+        self.hidden = None
         self.n_features = None
         self.n_classes = None
 
@@ -122,22 +123,20 @@ class MlpClassifier:
         Y[np.arange(n), y] = 1.0
         if rng is None:
             rng = np.random.default_rng(0)
-        theta0 = init_glorot(rng, d, self.hidden, n_classes)
-        workspace = MlpWorkspace(n, d, self.hidden)
+        theta0 = init_glorot(rng, d, HIDDEN, n_classes)
+        workspace = MlpWorkspace(n, d, HIDDEN)
 
         def oracle(t):
-            return mlp_loss_and_grad(t, X, Y, self.hidden, self.alpha,
-                                     workspace)
+            return mlp_loss_and_grad(t, X, Y, HIDDEN, ALPHA, workspace)
 
         if self.solver == "lbfgs":
-            res = lbfgs_minimize(oracle, theta0, self.max_iterations,
-                                 self.tolerance)
+            res = lbfgs_minimize(oracle, theta0, MAX_ITERATIONS, TOLERANCE)
         else:
             objective, gradient = split_oracle(oracle)
-            res = adam_minimize(gradient, theta0, objective,
-                                self.max_iterations, self.tolerance,
-                                self.learning_rate)
+            res = adam_minimize(gradient, theta0, objective, MAX_ITERATIONS,
+                                TOLERANCE, LEARNING_RATE)
         self.theta = res.x
+        self.hidden = HIDDEN
         self.n_features = d
         self.n_classes = n_classes
         return self

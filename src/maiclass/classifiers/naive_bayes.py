@@ -11,6 +11,12 @@ import numpy as np
 
 from ..errors import NumericalFailure
 
+# Additive smoothing of the Bernoulli and multinomial models, and the
+# Gaussian variance floor as a fraction of the widest feature variance.
+BERNOULLI_ALPHA = 1.0
+MULTINOMIAL_ALPHA = 1.0
+VAR_SMOOTHING = 1e-9
+
 
 class _NaiveBayes:
     """What the three models share: the class prior, fitted around each
@@ -28,10 +34,7 @@ class _NaiveBayes:
 class BernoulliNaiveBayes(_NaiveBayes):
     """Presence/absence model with Laplace-style smoothing."""
 
-    def __init__(self, alpha: float = 1.0):
-        if alpha <= 0:
-            raise ValueError("alpha must be > 0")
-        self.alpha = alpha
+    def __init__(self):
         self.log_prior = None
         self.log_theta = None
         self.log_one_minus = None
@@ -41,8 +44,8 @@ class BernoulliNaiveBayes(_NaiveBayes):
         theta = np.zeros((n_classes, Xb.shape[1]))
         for c in range(n_classes):
             rows = Xb[y == c]
-            theta[c] = (rows.sum(axis=0) + self.alpha) \
-                / (rows.shape[0] + 2.0 * self.alpha)
+            theta[c] = (rows.sum(axis=0) + BERNOULLI_ALPHA) \
+                / (rows.shape[0] + 2.0 * BERNOULLI_ALPHA)
         self.log_theta = np.log(theta)
         self.log_one_minus = np.log1p(-theta)
 
@@ -56,10 +59,7 @@ class BernoulliNaiveBayes(_NaiveBayes):
 class MultinomialNaiveBayes(_NaiveBayes):
     """Event-count model; works on raw or normalised frequencies."""
 
-    def __init__(self, alpha: float = 1.0):
-        if alpha <= 0:
-            raise ValueError("alpha must be > 0")
-        self.alpha = alpha
+    def __init__(self):
         self.log_prior = None
         self.log_theta = None
 
@@ -79,8 +79,8 @@ class MultinomialNaiveBayes(_NaiveBayes):
                 feature_total = X[at[0]:at[-1] + 1].sum(axis=0)
             else:
                 feature_total = X[at].sum(axis=0)
-            denom = feature_total.sum() + self.alpha * d
-            log_theta[c] = np.log((feature_total + self.alpha) / denom)
+            denom = feature_total.sum() + MULTINOMIAL_ALPHA * d
+            log_theta[c] = np.log((feature_total + MULTINOMIAL_ALPHA) / denom)
         self.log_theta = log_theta
 
     def log_joint(self, X):
@@ -90,10 +90,7 @@ class MultinomialNaiveBayes(_NaiveBayes):
 class GaussianNaiveBayes(_NaiveBayes):
     """Per-class diagonal Gaussians with variance smoothing."""
 
-    def __init__(self, var_smoothing: float = 1e-9):
-        if var_smoothing < 0:
-            raise ValueError("var_smoothing must be >= 0")
-        self.var_smoothing = var_smoothing
+    def __init__(self):
         self.log_prior = None
         self.means = None
         self.variances = None
@@ -102,7 +99,7 @@ class GaussianNaiveBayes(_NaiveBayes):
         d = X.shape[1]
         # Floor every variance at a fraction of the widest feature spread so
         # constant features cannot produce infinite log densities.
-        eps = self.var_smoothing * float(np.max(X.var(axis=0)))
+        eps = VAR_SMOOTHING * float(np.max(X.var(axis=0)))
         means = np.zeros((n_classes, d))
         variances = np.zeros((n_classes, d))
         for c in range(n_classes):

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# Neighbours that vote, capped at the number of training rows.
+N_NEIGHBORS = 5
+
 
 class KNeighbors:
     """Memorises the training matrix; all work happens at predict time.
@@ -13,10 +16,7 @@ class KNeighbors:
     go to the lowest class code.
     """
 
-    def __init__(self, k: int = 5):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = k
+    def __init__(self):
         self.train_x = None
         self.train_y = None
         self.n_classes = 0
@@ -29,8 +29,9 @@ class KNeighbors:
         return self
 
     def kneighbors(self, X) -> np.ndarray:
-        """Indices of the k nearest training rows for each query row."""
-        k = min(self.k, self.train_x.shape[0])
+        """Indices of the ``N_NEIGHBORS`` nearest training rows for each
+        query row."""
+        k = min(N_NEIGHBORS, self.train_x.shape[0])
         out = np.empty((X.shape[0], k), dtype=np.intp)
         for r in range(X.shape[0]):
             diff = self.train_x - X[r]

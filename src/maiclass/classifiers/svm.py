@@ -22,6 +22,16 @@ class _PairMachine:
     bias: float
 
 
+# The C-SVC every kernel uses: box bound, SMO stopping tolerance and
+# iteration budget, and the polynomial and sigmoid kernels' shape (gamma is
+# 1 / n_features, resolved per fit).
+C = 1.0
+TOLERANCE = 1e-3
+MAX_ITERATIONS = 200_000
+POLY_DEGREE = 3
+COEF0 = 0.0
+
+
 class KernelSvm:
     """C-SVC with linear, polynomial, RBF or sigmoid kernel.
 
@@ -29,32 +39,19 @@ class KernelSvm:
     machine treating a as +1. Prediction counts votes; vote ties fall back to
     summed decision values, then to the lowest class code.
 
-    ``gamma=None`` means ``1 / n_features``; each fit resolves it into
-    ``params``, the kernel the fitted machines use.
+    Each fit resolves ``params``, the kernel the fitted machines use.
     """
 
-    def __init__(self, kernel: str = "linear", c: float = 1.0,
-                 tolerance: float = 1e-3, gamma: Optional[float] = None,
-                 degree: int = 3, coef0: float = 0.0,
-                 max_iterations: int = 200_000):
-        if c <= 0:
-            raise ValueError("c must be > 0")
+    def __init__(self, kernel: str):
         self.kernel = kernel
-        self.c = c
-        self.tolerance = tolerance
-        self.gamma = gamma
-        self.degree = degree
-        self.coef0 = coef0
-        self.max_iterations = max_iterations
         self.params: Optional[KernelParams] = None
         self.machines: List[_PairMachine] = []
         self.n_classes = 0
         self.converged = True
 
     def fit(self, X, y, n_classes, rng=None):
-        gamma = 1.0 / X.shape[1] if self.gamma is None else self.gamma
-        self.params = KernelParams(kind=self.kernel, gamma=gamma,
-                                   degree=self.degree, coef0=self.coef0)
+        self.params = KernelParams(kind=self.kernel, gamma=1.0 / X.shape[1],
+                                   degree=POLY_DEGREE, coef0=COEF0)
         self.n_classes = n_classes
         self.machines = []
         self.converged = True
@@ -64,8 +61,8 @@ class KernelSvm:
                 rows = X[idx]
                 y_pm = np.where(y[idx] == a, 1.0, -1.0)
                 K = kernel_matrix(self.params, rows)
-                sol = smo_solve(K, y_pm, c=self.c, tolerance=self.tolerance,
-                                max_iterations=self.max_iterations)
+                sol = smo_solve(K, y_pm, c=C, tolerance=TOLERANCE,
+                                max_iterations=MAX_ITERATIONS)
                 sv = np.asarray(sol.support_indices, dtype=np.intp)
                 coef = (sol.alphas * y_pm)[sv]
                 self.machines.append(_PairMachine(

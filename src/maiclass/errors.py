@@ -124,7 +124,8 @@ class LengthMismatch(MaiclassError):
 
 
 class NumericalFailure(MaiclassError):
-    """An oracle or optimizer produced a non-finite value."""
+    """A value is or became NaN or infinite: in input rows, an oracle, an
+    optimizer or an estimator's arithmetic."""
 
 
 class Unsupported(MaiclassError):

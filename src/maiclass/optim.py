@@ -46,7 +46,6 @@ class OptResult:
 
 
 def _check_budget(max_iterations: int, tolerance: float) -> None:
-    # Both arrive unchecked from a classifier spec's hyperparameters.
     if max_iterations < 0:
         raise ValueError("max_iterations must be >= 0")
     if tolerance < 0:

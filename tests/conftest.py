@@ -5,8 +5,13 @@ documents per class, each class owning a disjoint 50-token vocabulary, plus
 a pool of 200 noise tokens shared by everyone. Every document mixes its own
 class's tokens with noise, so the classes are linearly separable under all
 three vector models while the noise keeps the problem non-trivial.
+
+``fit_digest`` fingerprints a trained estimator, so a test can see a
+changed fit that leaves every prediction alone.
 """
 
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -45,6 +50,34 @@ def make_synthetic_corpus(docs_per_class: int = 30, seed: int = 12345) -> Corpus
             ))
     return Corpus(name="synthetic", documents=tuple(documents),
                   classes=tuple(CLASS_TOKENS))
+
+
+def fit_digest(estimator) -> str:
+    """sha256 over an estimator's fitted attributes in name order.
+
+    An array contributes its dtype, shape and bytes; a list, tuple or
+    dataclass (an SVM's pair machines, its kernel) its items in order;
+    anything else its ``repr``.
+    """
+    h = hashlib.sha256()
+
+    def feed(value):
+        if isinstance(value, np.ndarray):
+            h.update(f"{value.dtype.str}{value.shape}:".encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+        elif dataclasses.is_dataclass(value):
+            feed([getattr(value, f.name) for f in dataclasses.fields(value)])
+        elif isinstance(value, (list, tuple)):
+            h.update(f"[{len(value)}:".encode())
+            for item in value:
+                feed(item)
+        else:
+            h.update(f"{value!r};".encode())
+
+    for name, value in sorted(vars(estimator).items()):
+        h.update(f"{name}=".encode())
+        feed(value)
+    return h.hexdigest()
 
 
 def corpus_records(corpus: Corpus):

@@ -262,7 +262,7 @@ def test_knn_matches_brute_force_on_100_queries():
     rng = np.random.default_rng(314)
     X = rng.normal(size=(60, 5))
     y = rng.integers(0, 3, size=60)
-    est = KNeighbors(k=5).fit(X, y, 3)
+    est = KNeighbors().fit(X, y, 3)
     queries = rng.normal(size=(100, 5))
     for q, pred in zip(queries, est.predict_codes(queries)):
         assert pred == brute_force_predict(X, y, q, 5, 3)

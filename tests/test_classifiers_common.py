@@ -52,13 +52,6 @@ def test_unknown_algorithm_rejected():
         ClassifierSpec(algorithm="perceptron")
 
 
-def test_unknown_hyperparameter_rejected():
-    rows, labels = blob_data()
-    with pytest.raises(ValueError, match="hyperparameter"):
-        train(ClassifierSpec(algorithm="knn", hyperparams={"leafs": 3}),
-              (rows, labels))
-
-
 # The name dates from when this test also round-tripped a saved model;
 # it is kept so the test's id stays the same across the suite's history.
 @pytest.mark.parametrize("algo", ALGORITHMS)
@@ -160,16 +153,32 @@ def test_rows_whose_sum_overflows_are_finite():
         assert maiclass.classifiers._require_finite(rows) is rows
 
 
-def test_hyperparameter_overrides_reach_estimator():
-    rows, labels = blob_data()
-    model = train(ClassifierSpec(algorithm="knn", hyperparams={"k": 1}),
-                  (rows, labels))
-    assert model.estimator.k == 1
-    svm = train(ClassifierSpec(algorithm="svm_rbf",
-                               hyperparams={"gamma": 2.5, "c": 0.7}),
-                (rows, labels))
-    assert svm.estimator.params.gamma == 2.5
-    assert svm.estimator.c == 0.7
+SEPARABLE_ROWS = np.array([[0.0, 1.0], [0.2, 0.9], [1.0, 0.0], [0.9, 0.1]])
+SEPARABLE_LABELS = ["a", "a", "b", "b"]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e100, 1e160, 1e300])
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_overflowing_rows_predict_or_are_numerical_failure(algo, scale):
+    # Finite rows whose products or squares overflow. The suite turns any
+    # NumPy RuntimeWarning into an error, so none may escape either way.
+    rows = SEPARABLE_ROWS * scale
+    try:
+        got = predict(train(ClassifierSpec(algo), (rows, SEPARABLE_LABELS)),
+                      rows)
+    except NumericalFailure as exc:
+        assert scale > 1.0
+        assert str(exc).startswith(f"{algo}: ")
+        return
+    assert len(got) == 4 and set(got) <= {"a", "b"}
+
+
+def test_svm_poly_overflow_names_the_algorithm():
+    # The cube of inner products near 1e200 overflows the polynomial
+    # kernel; fitted on that inf, the model predicts one class everywhere.
+    with pytest.raises(NumericalFailure, match="^svm_poly: overflow"):
+        train(ClassifierSpec("svm_poly"),
+              (SEPARABLE_ROWS * 1e100, SEPARABLE_LABELS))
 
 
 def test_svm_refit_resolves_gamma_from_new_width():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from maiclass import evaluate
-from maiclass.classifiers import ALGORITHMS, ClassifierSpec
+from maiclass.classifiers import ALGORITHMS, ClassifierSpec, mlp, train
 from maiclass.corpus import Corpus, Document
 from maiclass.errors import ClassTooSmall, LengthMismatch, RunFailure
 from maiclass.evaluate import (
@@ -25,7 +25,7 @@ from maiclass.evaluate import (
 )
 from maiclass.features import VECTOR_MODELS
 
-from conftest import make_synthetic_corpus
+from conftest import fit_digest, make_synthetic_corpus
 
 
 def tiny_corpus(sizes):
@@ -314,6 +314,39 @@ def test_run_grid_keeps_one_model_matrix_pair_alive(monkeypatch):
     # The pair's own train matrix and its rows, while its test matrix is
     # built.
     assert alive_counts == [0, 2] * 3
+
+
+def grid_fit_digests(monkeypatch):
+    """(algorithm, fit digest) of every cell of a one-run grid of all
+    twelve algorithms over the three vector models, in training order."""
+    digests = []
+
+    def digesting_train(spec, data, seed=0):
+        model = train(spec, data, seed=seed)
+        digests.append((spec.algorithm, fit_digest(model.estimator)))
+        return model
+
+    monkeypatch.setattr(evaluate, "train", digesting_train)
+    run_grid(make_synthetic_corpus(docs_per_class=6), VECTOR_MODELS,
+             [ClassifierSpec(algorithm=algo) for algo in ALGORITHMS],
+             runs=1, master_seed=3)
+    return digests
+
+
+def test_grid_fit_digests_repeat_in_one_process(monkeypatch):
+    first = grid_fit_digests(monkeypatch)
+    assert len(first) == 3 * len(ALGORITHMS)
+    assert grid_fit_digests(monkeypatch) == first
+
+
+def test_fit_digests_see_one_ulp_of_adam_learning_rate(monkeypatch):
+    base = grid_fit_digests(monkeypatch)
+    monkeypatch.setattr(mlp, "LEARNING_RATE",
+                        np.nextafter(mlp.LEARNING_RATE, np.inf))
+    nudged = grid_fit_digests(monkeypatch)
+    assert [a for a, _ in nudged] == [a for a, _ in base]
+    for (algo, before), (_, after) in zip(base, nudged):
+        assert (before != after) == (algo == "mlp_adam"), algo
 
 
 def test_run_grid_sizes_its_buffers_from_the_vocabulary_it_gets():

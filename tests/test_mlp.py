@@ -77,8 +77,9 @@ def test_glorot_init_seed_determinism():
 
 
 def test_xor_lbfgs_reaches_zero_training_error():
-    est = MlpClassifier(solver="lbfgs", hidden=100)
+    est = MlpClassifier(solver="lbfgs")
     est.fit(XOR_X, XOR_Y, 2, rng=np.random.default_rng(0))
+    assert est.hidden == 100
     assert est.predict_codes(XOR_X).tolist() == XOR_Y.tolist()
     # Oracle for "converged": the fitted net is confident, with mean
     # cross-entropy on the training points below 1e-2 (alpha 0 leaves the
@@ -88,13 +89,14 @@ def test_xor_lbfgs_reaches_zero_training_error():
     assert ce < 1e-2
 
 
-def test_adam_separates_blobs():
+def test_adam_separates_blobs(monkeypatch):
+    monkeypatch.setattr(mlp, "MAX_ITERATIONS", 400)
+    monkeypatch.setattr(mlp, "LEARNING_RATE", 0.05)
     rng = np.random.default_rng(11)
     X = np.concatenate([rng.normal(-2.0, 0.3, size=(30, 2)),
                         rng.normal(2.0, 0.3, size=(30, 2))])
     y = np.repeat([0, 1], 30)
-    est = MlpClassifier(solver="adam", max_iterations=400,
-                        learning_rate=0.05)
+    est = MlpClassifier(solver="adam")
     est.fit(X, y, 2, rng=np.random.default_rng(1))
     assert (est.predict_codes(X) == y).mean() == 1.0
 
@@ -102,14 +104,13 @@ def test_adam_separates_blobs():
 def test_constructor_rejects_bad_arguments():
     with pytest.raises(ValueError):
         MlpClassifier(solver="sgd")
-    with pytest.raises(ValueError):
-        MlpClassifier(hidden=0)
 
 
-def test_fixed_rng_makes_fit_deterministic():
-    a = MlpClassifier(solver="lbfgs", hidden=20)
+def test_fixed_rng_makes_fit_deterministic(monkeypatch):
+    monkeypatch.setattr(mlp, "HIDDEN", 20)
+    a = MlpClassifier(solver="lbfgs")
     a.fit(XOR_X, XOR_Y, 2, rng=np.random.default_rng(5))
-    b = MlpClassifier(solver="lbfgs", hidden=20)
+    b = MlpClassifier(solver="lbfgs")
     b.fit(XOR_X, XOR_Y, 2, rng=np.random.default_rng(5))
     assert np.array_equal(a.theta, b.theta)
 
@@ -138,8 +139,10 @@ def test_adam_fit_runs_the_network_once_per_step(monkeypatch):
         return mlp_loss_and_grad(*args)
 
     monkeypatch.setattr(mlp, "mlp_loss_and_grad", counted)
-    est = MlpClassifier(solver="adam", hidden=6, max_iterations=steps,
-                        learning_rate=0.01, tolerance=0.0)
+    for name, value in (("HIDDEN", 6), ("MAX_ITERATIONS", steps),
+                        ("LEARNING_RATE", 0.01), ("TOLERANCE", 0.0)):
+        monkeypatch.setattr(mlp, name, value)
+    est = MlpClassifier(solver="adam")
     est.fit(X, y, 3, rng=np.random.default_rng(2))
     assert len(passes) == steps + 1
     assert np.array_equal(est.theta, reference.x)

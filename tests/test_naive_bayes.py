@@ -24,7 +24,7 @@ def test_bernoulli_hand_posterior():
     #   theta_0 = ((1+1)/(1+2), (0+1)/(1+2)) = (2/3, 1/3), theta_1 mirrored.
     # Query [1,0]: P(x|0) = 2/3 * (1 - 1/3) = 4/9, P(x|1) = 1/3 * 1/3 = 1/9.
     # Equal priors give posterior (4/9) / (5/9) = 0.8.
-    est = BernoulliNaiveBayes(alpha=1.0)
+    est = BernoulliNaiveBayes()
     est.fit(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]), 2)
     post = posteriors(est, np.array([[1.0, 0.0]]))
     assert np.allclose(post, [[0.8, 0.2]], atol=1e-12)
@@ -45,7 +45,7 @@ def test_multinomial_hand_posterior():
     # Train docs [2,0] -> class 0 and [0,2] -> class 1, alpha = 1:
     #   theta_0 = ((2+1)/(2+2), (0+1)/(2+2)) = (3/4, 1/4).
     # Query [1,0]: likelihood theta_c0^1, so posterior (3/4, 1/4).
-    est = MultinomialNaiveBayes(alpha=1.0)
+    est = MultinomialNaiveBayes()
     est.fit(np.array([[2.0, 0.0], [0.0, 2.0]]), np.array([0, 1]), 2)
     post = posteriors(est, np.array([[1.0, 0.0]]))
     assert np.allclose(post, [[0.75, 0.25]], atol=1e-12)
@@ -154,10 +154,3 @@ def test_posteriors_are_distributions(cls):
     assert post.shape == (30, 3)
     assert np.all(post >= 0.0)
     assert np.allclose(post.sum(axis=1), 1.0, atol=1e-9)
-
-
-def test_alpha_validation():
-    with pytest.raises(ValueError):
-        BernoulliNaiveBayes(alpha=0.0)
-    with pytest.raises(ValueError):
-        MultinomialNaiveBayes(alpha=-1.0)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from maiclass.classifiers import ClassifierSpec, predict, train
+from maiclass.classifiers.kernels import KernelParams, kernel_matrix
 from maiclass.classifiers.svm import KernelSvm, _vote_winners
 
 
@@ -41,7 +42,9 @@ def test_three_class_one_vs_one_machinery():
     centers = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
     X = np.concatenate([rng.normal(c, 0.5, size=(15, 2)) for c in centers])
     y = np.repeat([0, 1, 2], 15)
-    est = KernelSvm(kernel="rbf", gamma=0.5).fit(X, y, 3)
+    # Two features: gamma is 1/2.
+    est = KernelSvm(kernel="rbf").fit(X, y, 3)
+    assert est.params.gamma == 0.5
     assert len(est.machines) == 3
     assert est.decision_pairs(X).shape == (45, 3)
     assert (est.predict_codes(X) == y).mean() == 1.0
@@ -51,8 +54,10 @@ def test_gamma_defaults_to_reciprocal_dimension():
     X = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
     est = KernelSvm(kernel="rbf").fit(X, np.array([0, 1]), 2)
     assert est.params.gamma == 0.25
-    explicit = KernelSvm(kernel="rbf", gamma=0.25).fit(X, np.array([0, 1]), 2)
-    assert np.array_equal(est.decision_pairs(X), explicit.decision_pairs(X))
+    (mach,) = est.machines
+    K = kernel_matrix(KernelParams(kind="rbf", gamma=0.25), X, mach.sv_x)
+    assert np.array_equal(est.decision_pairs(X)[:, 0],
+                          K @ mach.dual_coef + mach.bias)
 
 
 def test_decisions_invariant_under_training_permutation():
@@ -68,7 +73,7 @@ def test_decisions_invariant_under_training_permutation():
 
 
 def test_vote_tie_falls_back_to_confidence_then_lowest():
-    est = KernelSvm()
+    est = KernelSvm(kernel="linear")
     est.n_classes = 2
     est.machines = []
     codes = est.predict_codes(np.zeros((3, 1)))
@@ -105,8 +110,3 @@ def test_nan_decision_still_picks_a_most_voted_class():
     votes = np.array([[0, 1, 1], [2, 2, 0]])
     conf = np.array([[9.0, np.nan, 1.0], [np.nan, 1.0, 5.0]])
     assert _vote_winners(votes, conf).tolist() == [1, 0]
-
-
-def test_refuses_bad_c():
-    with pytest.raises(ValueError):
-        KernelSvm(c=0.0)
