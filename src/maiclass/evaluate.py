@@ -17,43 +17,25 @@ from .features import (
     DERIVE_ORDER,
     VECTOR_MODELS,
     InternedDocuments,
-    Vocabulary,
     build_matrix,
     build_vocabulary,
     derive_matrix,
 )
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    """Document indices for one train/test division, grouped per class."""
-
-    per_class: Dict[str, Tuple[Tuple[int, ...], Tuple[int, ...]]]
-
-    @property
-    def train_indices(self) -> Tuple[int, ...]:
-        out: List[int] = []
-        for label in self.per_class:
-            out.extend(self.per_class[label][0])
-        return tuple(out)
-
-    @property
-    def test_indices(self) -> Tuple[int, ...]:
-        out: List[int] = []
-        for label in self.per_class:
-            out.extend(self.per_class[label][1])
-        return tuple(out)
-
-
-def stratified_split(corpus: Corpus, seed: int) -> SplitPlan:
+def stratified_split(corpus: Corpus, seed: int
+                     ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Shuffle each class and put the first ceil(n/2) documents in train.
 
-    With the 30-document classes used throughout this gives the 15/15
-    split-half design. Raises :class:`ClassTooSmall` when any class has
-    fewer than two documents.
+    Returns the (train, test) document indices, class by class in
+    ``corpus.classes`` order and ascending within a class. With the
+    30-document classes used throughout this gives the 15/15 split-half
+    design. Raises :class:`ClassTooSmall` when any class has fewer than two
+    documents.
     """
     rng = np.random.default_rng(seed)
-    per_class: Dict[str, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
+    train: List[int] = []
+    test: List[int] = []
     for label in corpus.classes:
         idx = np.array([i for i, doc in enumerate(corpus.documents)
                         if doc.label == label])
@@ -61,10 +43,9 @@ def stratified_split(corpus: Corpus, seed: int) -> SplitPlan:
             raise ClassTooSmall(label, int(idx.shape[0]))
         shuffled = idx[rng.permutation(idx.shape[0])]
         n_train = math.ceil(idx.shape[0] / 2)
-        train_part = tuple(sorted(int(i) for i in shuffled[:n_train]))
-        test_part = tuple(sorted(int(i) for i in shuffled[n_train:]))
-        per_class[label] = (train_part, test_part)
-    return SplitPlan(per_class=per_class)
+        train += sorted(int(i) for i in shuffled[:n_train])
+        test += sorted(int(i) for i in shuffled[n_train:])
+    return tuple(train), tuple(test)
 
 
 @dataclass(frozen=True)
@@ -123,35 +104,45 @@ def run_seeds(master_seed: int, run: int) -> Tuple[int, int]:
     return int(a), int(b)
 
 
-def _score_run(run: int, train_docs: InternedDocuments,
-               test_docs: InternedDocuments, vocab: Vocabulary,
-               vector_models: Sequence[str],
-               specs: Sequence[ClassifierSpec], train_seed: int,
-               classes: Sequence[str], *, train_out: np.ndarray,
-               test_out: np.ndarray) -> Dict[str, List[F1Result]]:
+def _score_run(run: int, corpus: Corpus, docs: InternedDocuments,
+               vector_models: Sequence[str], specs: Sequence[ClassifierSpec],
+               vocab_size: int, master_seed: int,
+               buffers: List[np.ndarray]) -> Dict[str, List[F1Result]]:
     """Run ``run``'s F1 per vector model, for each of ``specs`` in order.
 
-    The first requested model in ``DERIVE_ORDER`` gets the run's one
-    (train, test) pair of :func:`build_matrix` calls, counted into the
-    grid's buffers ``train_out`` and ``test_out``; each later model is
-    derived from the same two arrays in place. The matrices and the last
-    trained classifier exist only inside this call, so nothing but the
-    buffers outlives the run. A failure is re-raised as
-    :class:`RunFailure` naming the cell it happened in.
+    The run draws its split and training seed from ``run_seeds(master_seed,
+    run)`` and builds its vocabulary from its training half only, so no
+    test token information leaks into the features. The first requested
+    model in ``DERIVE_ORDER`` gets the run's one (train, test) pair of
+    :func:`build_matrix` calls, counted into ``buffers`` (one flat array per
+    half, replaced by a larger one when this run's vocabulary needs it);
+    each later model is derived from the same two arrays in place. The
+    matrices and the last trained classifier exist only inside this call,
+    so nothing but the buffers outlives the run. A failure is re-raised as
+    :class:`RunFailure` naming the run and, when it happened in a cell, the
+    cell's vector model and algorithm.
     """
-    gold = [d.label for d in test_docs]
+    split_seed, train_seed = run_seeds(master_seed, run)
     scores: Dict[str, List[F1Result]] = {}
     vector_model = algorithm = None
     try:
+        train_idx, test_idx = stratified_split(corpus, split_seed)
+        train_docs = docs.select(train_idx)
+        test_docs = docs.select(test_idx)
+        vocab = build_vocabulary(train_docs, vocab_size)
+        for i, half in enumerate((train_docs, test_docs)):
+            if buffers[i].size < len(half) * vocab.size:
+                buffers[i] = np.empty(len(half) * vocab.size)
+        gold = [d.label for d in test_docs]
         for vector_model in DERIVE_ORDER:
             if vector_model not in vector_models:
                 continue
             algorithm = None
             if not scores:
                 train_m = build_matrix(train_docs, vocab, vector_model,
-                                       out=train_out)
+                                       out=buffers[0])
                 test_m = build_matrix(test_docs, vocab, vector_model,
-                                      out=test_out)
+                                      out=buffers[1])
             else:
                 train_m = derive_matrix(train_m, train_docs, vector_model)
                 test_m = derive_matrix(test_m, test_docs, vector_model)
@@ -160,7 +151,7 @@ def _score_run(run: int, train_docs: InternedDocuments,
                 algorithm = spec.algorithm
                 model = train(spec, train_m, seed=train_seed)
                 cell.append(f1_scores(gold, predict(model, test_m.rows),
-                                      classes))
+                                      corpus.classes))
     except MaiclassError as exc:
         raise RunFailure(run, exc, vector_model, algorithm) from exc
     return scores
@@ -172,22 +163,15 @@ def run_grid(corpus: Corpus, vector_models: Sequence[str],
              ) -> List[EvalResult]:
     """Score every (vector model, classifier) cell over the same ``runs`` runs.
 
-    Run ``r`` draws its split and training seed from
+    Run ``r`` is one :func:`_score_run` call, seeded by
     ``run_seeds(master_seed, r)``, so all cells see the same splits (the
     paired design the U tests rely on). The corpus's tokens become ids
-    once per grid; each run builds its split, vocabulary and gold labels
-    once, and the vocabulary comes from the run's training half only, so
-    no test token information leaks into the features. Each run is one
-    :func:`_score_run` call, which builds one counts-based matrix pair,
-    derives the other requested models from it in place and lets go of it
-    before the next run. The grid owns one flat buffer per half, which
-    every run's matrices reuse; each grows, to the half's row count times
-    the run's ``vocab.size``, only when a run's vocabulary is larger than
-    every earlier one's, so memory faulted in once serves every run.
-    Results come back model-major, in the order of ``vector_models`` (a
-    repeated model repeats its cells), classifier-minor. A failure inside
-    a run is re-raised as :class:`RunFailure` carrying the run index and,
-    when it happened in a cell, the cell's vector model and algorithm.
+    once per grid, and the grid owns one flat buffer per split half, which
+    every run's matrices reuse; a buffer grows only when a run's vocabulary
+    is larger than every earlier one's, so memory faulted in once serves
+    every run. Results come back model-major, in the order of
+    ``vector_models`` (a repeated model repeats its cells),
+    classifier-minor. A failure inside a run ends as :class:`RunFailure`.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -195,32 +179,15 @@ def run_grid(corpus: Corpus, vector_models: Sequence[str],
         if vector_model not in VECTOR_MODELS:
             raise ValueError(f"unknown vector model {vector_model!r}")
     docs = InternedDocuments.of(corpus.documents)
-    scores: Dict[str, List[List[F1Result]]] = {
-        vector_model: [[] for _ in specs] for vector_model in vector_models}
     buffers = [np.empty(0), np.empty(0)]
-    for r in range(runs):
-        split_seed, train_seed = run_seeds(master_seed, r)
-        try:
-            plan = stratified_split(corpus, split_seed)
-            train_docs = docs.select(plan.train_indices)
-            test_docs = docs.select(plan.test_indices)
-            vocab = build_vocabulary(train_docs, vocab_size)
-        except MaiclassError as exc:
-            raise RunFailure(r, exc) from exc
-        for i, half in enumerate((train_docs, test_docs)):
-            if buffers[i].size < len(half) * vocab.size:
-                buffers[i] = np.empty(len(half) * vocab.size)
-        run_scores = _score_run(r, train_docs, test_docs, vocab,
-                                vector_models, specs, train_seed,
-                                corpus.classes, train_out=buffers[0],
-                                test_out=buffers[1])
-        for vector_model, model_scores in run_scores.items():
-            for cell, f1 in zip(scores[vector_model], model_scores):
-                cell.append(f1)
+    per_run = [_score_run(r, corpus, docs, vector_models, specs, vocab_size,
+                          master_seed, buffers) for r in range(runs)]
     return [EvalResult(algorithm=spec.algorithm, vector_model=vector_model,
-                       classes=tuple(corpus.classes), runs=tuple(cell))
+                       classes=tuple(corpus.classes),
+                       runs=tuple(scores[vector_model][i]
+                                  for scores in per_run))
             for vector_model in vector_models
-            for cell, spec in zip(scores[vector_model], specs)]
+            for i, spec in enumerate(specs)]
 
 
 def run_experiment(corpus: Corpus, vector_model: str, spec: ClassifierSpec,

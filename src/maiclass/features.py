@@ -142,13 +142,9 @@ def _count_rows(docs: InternedDocuments, vocab: Vocabulary,
         token_id = docs.index.get(tok)
         if token_id is not None:
             position[token_id] = pos
-    # A matrix too large for int32 cells could not be allocated anyway, but
-    # the cells must not wrap.
-    cell_type = np.int32 if n * vocab.size <= np.iinfo(np.int32).max \
-        else np.intp
     positions = position[docs.ids]
     hit = positions >= 0
-    cells = np.repeat(np.arange(n, dtype=cell_type) * vocab.size,
+    cells = np.repeat(np.arange(n, dtype=np.intp) * vocab.size,
                       docs.lengths)[hit]
     cells += positions[hit]
     if out is None:

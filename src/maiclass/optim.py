@@ -25,6 +25,9 @@ Oracle = Callable[[np.ndarray], Tuple[float, np.ndarray]]
 
 _WOLFE_C1 = 1e-4
 _WOLFE_C2 = 0.9
+# Trial steps of the line search's bracketing and zoom stages.
+_BRACKET_ITERATIONS = 25
+_ZOOM_ITERATIONS = 30
 _CURVATURE_SKIP = 1e-10
 # L-BFGS keeps the last 10 curvature pairs; Adam uses Kingma & Ba's moment
 # decay rates and denominator guard.
@@ -80,13 +83,12 @@ def _quad_trial(a_lo, f_lo, d_lo, a_hi, f_hi):
     return trial
 
 
-def _zoom(objective, x, d, f0, g0d, a_lo, f_lo, d_lo, g_lo, a_hi, f_hi,
-          max_iter=30):
+def _zoom(objective, x, d, f0, g0d, a_lo, f_lo, d_lo, a_hi, f_hi):
     """Nocedal-Wright zoom stage; shrinks [a_lo, a_hi] to a Wolfe point.
 
     Returns ``(step, f, g)``, or ``None`` when no Wolfe point is found.
     """
-    for _ in range(max_iter):
+    for _ in range(_ZOOM_ITERATIONS):
         trial = _quad_trial(a_lo, f_lo, d_lo, a_hi, f_hi)
         if trial is None:
             trial = 0.5 * (a_lo + a_hi)
@@ -100,30 +102,29 @@ def _zoom(objective, x, d, f0, g0d, a_lo, f_lo, d_lo, g_lo, a_hi, f_hi,
                 return trial, f_t, g_t
             if math.isfinite(d_t) and d_t * (a_hi - a_lo) >= 0.0:
                 a_hi, f_hi = a_lo, f_lo
-            a_lo, f_lo, d_lo, g_lo = trial, f_t, d_t, g_t
+            a_lo, f_lo, d_lo = trial, f_t, d_t
         if abs(a_hi - a_lo) <= 1e-16 * max(1.0, abs(a_lo)):
             break
     return None
 
 
-def _line_search(objective, x, d, f0, g0d, a_init, max_iter=25):
+def _line_search(objective, x, d, f0, g0d, a_init):
     """Strong Wolfe search (c1=1e-4, c2=0.9); returns (step, f, g) or None."""
-    a_prev, f_prev = 0.0, f0
-    d_prev, g_prev = g0d, None
+    a_prev, f_prev, d_prev = 0.0, f0, g0d
     a = a_init
-    for it in range(max_iter):
+    for it in range(_BRACKET_ITERATIONS):
         f_a, g_a = _call_oracle(objective, x + a * d)
         d_a = float(g_a @ d) if np.all(np.isfinite(g_a)) else math.nan
         if not math.isfinite(f_a) or f_a > f0 + _WOLFE_C1 * a * g0d \
                 or (it > 0 and f_a >= f_prev):
             return _zoom(objective, x, d, f0, g0d,
-                         a_prev, f_prev, d_prev, g_prev, a, f_a)
+                         a_prev, f_prev, d_prev, a, f_a)
         if math.isfinite(d_a) and abs(d_a) <= -_WOLFE_C2 * g0d:
             return a, f_a, g_a
         if math.isfinite(d_a) and d_a >= 0.0:
             return _zoom(objective, x, d, f0, g0d,
-                         a, f_a, d_a, g_a, a_prev, f_prev)
-        a_prev, f_prev, d_prev, g_prev = a, f_a, d_a, g_a
+                         a, f_a, d_a, a_prev, f_prev)
+        a_prev, f_prev, d_prev = a, f_a, d_a
         a = 2.0 * a
     return None
 
@@ -413,9 +414,10 @@ def smo_solve(kernel, labels: Sequence[float], c: float = 1.0,
         grad += (aj - old_aj) * Qj
         iterations += 1
     # Snap coefficients sitting a rounding error away from the box bounds.
-    snap = 1e-12 * c
-    alpha[alpha < snap] = 0.0
-    alpha[alpha > c - snap] = c
+    # Alphas scale as 1/K, so the zero snap is relative to the largest one:
+    # an absolute one would drop every support vector of a large-valued Gram.
+    alpha[alpha < 1e-12 * alpha.max(initial=0.0)] = 0.0
+    alpha[alpha > c - 1e-12 * c] = c
     yg = -y * grad
     free = (alpha > 0.0) & (alpha < c)
     if free.any():

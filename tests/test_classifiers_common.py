@@ -173,6 +173,20 @@ def test_overflowing_rows_predict_or_are_numerical_failure(algo, scale):
     assert len(got) == 4 and set(got) <= {"a", "b"}
 
 
+@pytest.mark.parametrize("scale", [1e4, 1e7, 1e50, 1e100])
+@pytest.mark.parametrize("algo", ["svm_linear", "svm_poly"])
+def test_large_rows_keep_their_support_vectors(algo, scale):
+    # SMO's alphas scale as 1/K. A zero snap absolute in C once dropped
+    # every support vector here, and the fit predicted "b" everywhere.
+    rows = SEPARABLE_ROWS * scale
+    try:
+        got = predict(train(ClassifierSpec(algo), (rows, SEPARABLE_LABELS)),
+                      rows)
+    except NumericalFailure:
+        return
+    assert list(got) == SEPARABLE_LABELS
+
+
 def test_svm_poly_overflow_names_the_algorithm():
     # The cube of inner products near 1e200 overflows the polynomial
     # kernel; fitted on that inf, the model predicts one class everywhere.

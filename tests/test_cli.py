@@ -7,8 +7,11 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
 import signal
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -21,6 +24,7 @@ from conftest import (
     read_whole_text_lines,
     write_jsonl,
 )
+import maiclass
 from maiclass import corpus as corpus_module
 from maiclass.cli import main
 from maiclass.errors import IoError, MaiclassError
@@ -796,3 +800,26 @@ def test_parse_error_names_the_line_holding_the_bad_token(fuzz_dir, case):
     assert err.startswith(f"error: ParseError: line {line}: ")
     assert err.rstrip("\n").endswith(token)
     assert token.strip("'") in re.split(r"\r\n|\r|\n", text)[line - 1]
+
+
+# Every module `import maiclass.cli` loads: the import set the CLI's startup
+# time pays for. A new import, or a module deleted, must change this list.
+CLI_IMPORTS = [
+    "maiclass", "maiclass._core", "maiclass.classifiers",
+    "maiclass.classifiers.kernels", "maiclass.classifiers.linear",
+    "maiclass.classifiers.mlp", "maiclass.classifiers.naive_bayes",
+    "maiclass.classifiers.neighbors", "maiclass.classifiers.svm",
+    "maiclass.classifiers.tree", "maiclass.cli", "maiclass.corpus",
+    "maiclass.errors", "maiclass.evaluate", "maiclass.features",
+    "maiclass.optim", "maiclass.report", "maiclass.stats",
+]
+
+
+def test_cli_import_loads_a_fixed_set_of_modules():
+    code = ("import maiclass.cli, sys; print(*sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'maiclass'))")
+    src = str(Path(maiclass.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, encoding="utf-8").stdout
+    assert out.split() == CLI_IMPORTS

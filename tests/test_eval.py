@@ -1,5 +1,6 @@
 """Stratified split-half evaluation protocol and F1 scoring."""
 
+import collections
 import csv
 import dataclasses
 import io
@@ -12,7 +13,12 @@ from hypothesis import example, given, settings, strategies as st
 from maiclass import evaluate
 from maiclass.classifiers import ALGORITHMS, ClassifierSpec, mlp, train
 from maiclass.corpus import Corpus, Document
-from maiclass.errors import ClassTooSmall, LengthMismatch, RunFailure
+from maiclass.errors import (
+    ClassTooSmall,
+    LengthMismatch,
+    NumericalFailure,
+    RunFailure,
+)
 from maiclass.evaluate import (
     EvalResult,
     F1Result,
@@ -38,22 +44,28 @@ def tiny_corpus(sizes):
     return Corpus(name="tiny", documents=tuple(docs), classes=tuple(sizes))
 
 
+def _labels_per_class(corpus, indices):
+    return collections.Counter(corpus.documents[i].label for i in indices)
+
+
 def test_thirty_per_class_gives_fifteen_fifteen(synthetic_corpus):
-    plan = stratified_split(synthetic_corpus, seed=0)
-    for label in synthetic_corpus.classes:
-        train_part, test_part = plan.per_class[label]
-        assert len(train_part) == 15
-        assert len(test_part) == 15
-        assert not set(train_part) & set(test_part)
-    all_indices = sorted(plan.train_indices + plan.test_indices)
-    assert all_indices == list(range(90))
+    train_part, test_part = stratified_split(synthetic_corpus, seed=0)
+    expected = {label: 15 for label in synthetic_corpus.classes}
+    assert _labels_per_class(synthetic_corpus, train_part) == expected
+    assert _labels_per_class(synthetic_corpus, test_part) == expected
+    assert sorted(train_part + test_part) == list(range(90))
+    # Class by class in corpus order, ascending within a class.
+    classes = synthetic_corpus.classes
+    for part in (train_part, test_part):
+        assert list(part) == sorted(part, key=lambda i: (
+            classes.index(synthetic_corpus.documents[i].label), i))
 
 
 def test_odd_class_splits_four_three():
-    plan = stratified_split(tiny_corpus({"a": 7, "b": 4}), seed=1)
-    assert len(plan.per_class["a"][0]) == 4
-    assert len(plan.per_class["a"][1]) == 3
-    assert len(plan.per_class["b"][0]) == 2
+    corpus = tiny_corpus({"a": 7, "b": 4})
+    train_part, test_part = stratified_split(corpus, seed=1)
+    assert _labels_per_class(corpus, train_part) == {"a": 4, "b": 2}
+    assert _labels_per_class(corpus, test_part) == {"a": 3, "b": 2}
 
 
 def test_split_is_seed_deterministic(synthetic_corpus):
@@ -168,6 +180,35 @@ def test_failures_are_wrapped_with_run_index():
     # The vocabulary is built before any cell, so no cell is named.
     assert err.value.vector_model is None and err.value.algorithm is None
     assert "EmptyCorpus" in str(err.value)
+
+
+@pytest.mark.parametrize("target,calls_per_run,nth,cell", [
+    # Two build_matrix calls per run, both for the first model in
+    # DERIVE_ORDER and before any algorithm is trained.
+    ("build_matrix", 2, 2, ("plain_freq", None)),
+    # Six train calls per run: two algorithms under each of three models.
+    ("train", 6, 4, ("norm_freq", "decision_tree")),
+])
+def test_failure_in_a_later_run_names_its_run_and_cell(
+        monkeypatch, target, calls_per_run, nth, cell):
+    fn = getattr(evaluate, target)
+    calls = []
+
+    def fail_in_run_one(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == calls_per_run + nth:
+            raise NumericalFailure("injected")
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, target, fail_in_run_one)
+    specs = [ClassifierSpec(algorithm=algo)
+             for algo in ("knn", "decision_tree")]
+    with pytest.raises(RunFailure) as err:
+        run_grid(make_synthetic_corpus(docs_per_class=4), VECTOR_MODELS,
+                 specs, runs=3)
+    assert err.value.run == 1
+    assert (err.value.vector_model, err.value.algorithm) == cell
+    assert isinstance(err.value.__cause__, NumericalFailure)
 
 
 def test_results_to_csv_layout():
