@@ -35,7 +35,7 @@ from .report import (
     reproduce_stats,
     select_scores,
 )
-from .stats import describe, mann_whitney_u, percent_agreement
+from .stats import mann_whitney_u, percent_agreement
 
 __version__ = "0.1.0"
 # The only kernel implementation; benchmark samples record it.
@@ -56,7 +56,6 @@ __all__ = [
     "__version__",
     "build_matrix",
     "build_vocabulary",
-    "describe",
     "f1_scores",
     "load_corpus",
     "load_scores",

@@ -28,9 +28,8 @@ from ..errors import (
     DimensionMismatch,
     NumericalFailure,
 )
-from .kernels import KernelParams, kernel_matrix
-from .linear import LogisticRegressionOVR, logistic_loss_and_grad
-from .mlp import MlpClassifier, init_glorot, mlp_loss_and_grad
+from .linear import LogisticRegressionOVR
+from .mlp import MlpClassifier
 from .naive_bayes import (
     BernoulliNaiveBayes,
     GaussianNaiveBayes,
@@ -40,26 +39,7 @@ from .neighbors import KNeighbors
 from .svm import KernelSvm
 from .tree import DecisionTree
 
-__all__ = [
-    "ALGORITHMS",
-    "ClassifierSpec",
-    "TrainedModel",
-    "train",
-    "predict",
-    "KernelParams",
-    "kernel_matrix",
-    "logistic_loss_and_grad",
-    "mlp_loss_and_grad",
-    "init_glorot",
-    "KernelSvm",
-    "MlpClassifier",
-    "BernoulliNaiveBayes",
-    "MultinomialNaiveBayes",
-    "GaussianNaiveBayes",
-    "LogisticRegressionOVR",
-    "DecisionTree",
-    "KNeighbors",
-]
+__all__ = ["ALGORITHMS", "ClassifierSpec", "TrainedModel", "train", "predict"]
 
 # Algorithm id -> (estimator class, its constructor arguments). These are
 # the only settings an estimator takes; every other one is a constant in

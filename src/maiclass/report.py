@@ -2,20 +2,25 @@
 
 The package ships the full grid of published F1 scores (three vector models
 x twelve classifiers x three corpora x three interests). This module loads
-that grid, rebuilds every derived quantity the reference reports - row sums,
-perfect-score counts, block means, per-interest score sets with their sums
-and means, medians, and six Mann-Whitney U comparisons - and renders a
-side-by-side computed-vs-reference report.
+that grid and rebuilds every derived quantity the reference reports as one
+ordered tuple of :class:`Comparison` checks, each tagged with its section:
+row sums, perfect-score counts, block means, per-interest sums and means
+(named by :data:`SUMMARY_NAMES`) and medians. Six Mann-Whitney U
+comparisons follow, each naming its two samples. Both report formats,
+markdown and CSV, are rendered from that one tuple.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from importlib import resources
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .classifiers import ALGORITHMS
 from .errors import (
@@ -27,7 +32,7 @@ from .errors import (
     _read_lines,
 )
 from .features import VECTOR_MODELS
-from .stats import UTestResult, describe, mann_whitney_u, percent_agreement
+from .stats import UTestResult, mann_whitney_u, percent_agreement
 
 CORPORA = ("vk_ru", "t_ru", "t_en")
 MAIS = ("football", "rock", "vegetarianism")
@@ -66,8 +71,10 @@ REFERENCE_ROW_SUMS = (
 REFERENCE_PERFECT_COUNTS = {"bernoulli": 29, "plain_freq": 8, "norm_freq": 8}
 REFERENCE_BLOCK_MEANS = {"bernoulli": 0.958, "plain_freq": 0.819,
                          "norm_freq": 0.872}
-# Per interest: total, vk_ru, t_ru, t_en, then means for vk_ru, twitter,
-# russian, english.
+# The eight sums and means of one interest's score set, in check order.
+SUMMARY_NAMES = ("total", "vk_ru sum", "t_ru sum", "t_en sum", "vk_ru mean",
+                 "twitter mean", "russian mean", "english mean")
+# Per interest, lined up with SUMMARY_NAMES.
 REFERENCE_SUMMARIES = {
     "football": (67.04, 20.57, 22.816, 23.654, 0.857, 0.968, 0.904, 0.986),
     "rock": (66.7, 21.732, 21.906, 23.062, 0.906, 0.937, 0.909, 0.961),
@@ -76,15 +83,21 @@ REFERENCE_SUMMARIES = {
 }
 REFERENCE_MEDIANS = {"football": 0.982, "rock": 0.971,
                      "vegetarianism": 0.968}
-# label, reference U, reference p. Sample construction is fixed in
-# reproduce_stats; the first-named sample carries the quoted U.
+# label, first sample, second sample, reference U, reference p. A sample is
+# (interest, corpus) and a corpus of None takes all three; the first sample
+# carries the quoted U.
 REFERENCE_UTESTS = (
-    ("rock vs vegetarianism", 2562.0, 0.904),
-    ("football vs rock", 3130.5, 0.03),
-    ("football vs vegetarianism", 3107.5, 0.038),
-    ("football: vk_ru vs t_ru", 151.5, 0.004),
-    ("football: t_en vs t_ru", 334.5, 0.3),
-    ("rock: vk_ru vs t_ru", 269.0, 0.695),
+    ("rock vs vegetarianism", ("rock", None), ("vegetarianism", None),
+     2562.0, 0.904),
+    ("football vs rock", ("football", None), ("rock", None), 3130.5, 0.03),
+    ("football vs vegetarianism", ("football", None),
+     ("vegetarianism", None), 3107.5, 0.038),
+    ("football: vk_ru vs t_ru", ("football", "vk_ru"), ("football", "t_ru"),
+     151.5, 0.004),
+    ("football: t_en vs t_ru", ("football", "t_en"), ("football", "t_ru"),
+     334.5, 0.3),
+    ("rock: vk_ru vs t_ru", ("rock", "vk_ru"), ("rock", "t_ru"), 269.0,
+     0.695),
 )
 
 
@@ -133,6 +146,9 @@ def expert_agreement_path():
 
 
 _HEADER = ("model", "classifier", "corpus", "mai", "score")
+# The grid's key axes in column order, each with its name in parse errors.
+_AXES = (("vector model", VECTOR_MODELS), ("classifier", ALGORITHMS),
+         ("corpus", CORPORA), ("interest", MAIS))
 
 
 def load_scores(path=None) -> ScoreTable:
@@ -157,31 +173,22 @@ def load_scores(path=None) -> ScoreTable:
         parts = line.split("\t")
         if len(parts) != 5:
             raise ParseError(lineno, f"expected 5 fields, got {len(parts)}")
-        model, classifier, corpus, mai, raw = parts
-        if model not in VECTOR_MODELS:
-            raise ParseError(lineno, f"unknown vector model {model!r}")
-        if classifier not in ALGORITHMS:
-            raise ParseError(lineno, f"unknown classifier {classifier!r}")
-        if corpus not in CORPORA:
-            raise ParseError(lineno, f"unknown corpus {corpus!r}")
-        if mai not in MAIS:
-            raise ParseError(lineno, f"unknown interest {mai!r}")
+        key, raw = tuple(parts[:4]), parts[4]
+        for value, (axis, allowed) in zip(key, _AXES):
+            if value not in allowed:
+                raise ParseError(lineno, f"unknown {axis} {value!r}")
         if not raw.strip():
             continue
         score = _parse_number(raw, lineno, "bad score")
         if not 0.0 <= score <= 1.0:
             raise RangeError(
                 f"line {lineno}: score {score} outside [0, 1]")
-        key = (model, classifier, corpus, mai)
         if key in cells:
             raise ParseError(lineno, f"duplicate cell {key}")
         cells[key] = score
-    for model in VECTOR_MODELS:
-        for clf in ALGORITHMS:
-            for corpus in CORPORA:
-                for mai in MAIS:
-                    if (model, clf, corpus, mai) not in cells:
-                        raise MissingCell(model, clf, corpus, mai)
+    for key in itertools.product(*(allowed for _, allowed in _AXES)):
+        if key not in cells:
+            raise MissingCell(*key)
     return ScoreTable(cells=MappingProxyType(cells))
 
 
@@ -239,8 +246,11 @@ def flat_scores(selected: Dict[str, Dict[str, Tuple[float, ...]]],
 
 @dataclass(frozen=True)
 class Comparison:
-    """One computed quantity next to the value the reference quotes."""
+    """One computed quantity of a report ``section`` (``row_sums``,
+    ``perfect_counts``, ``block_means``, ``summaries`` or ``medians``) next
+    to the value the reference quotes."""
 
+    section: str
     label: str
     computed: float
     reference: float
@@ -250,33 +260,13 @@ class Comparison:
         return abs(self.computed - self.reference) <= MATCH_TOL
 
 
-@dataclass(frozen=True)
-class MaiSummary:
-    """Sums and means of one interest's 72-score set."""
-
-    mai: str
-    corpus_sums: Mapping[str, float]
-    total: float
-    vk_mean: float
-    twitter_mean: float
-    russian_mean: float
-    english_mean: float
-
-
-def summarize_mai(selected, mai: str) -> MaiSummary:
-    sums = {corpus: math.fsum(selected[mai][corpus]) for corpus in CORPORA}
-    vk = sums["vk_ru"]
-    tru = sums["t_ru"]
-    ten = sums["t_en"]
-    return MaiSummary(
-        mai=mai,
-        corpus_sums=MappingProxyType(sums),
-        total=math.fsum([vk, tru, ten]),
-        vk_mean=vk / 24.0,
-        twitter_mean=(tru + ten) / 48.0,
-        russian_mean=(vk + tru) / 48.0,
-        english_mean=ten / 24.0,
-    )
+def summarize_mai(selected, mai: str) -> Dict[str, float]:
+    """Sums and means of one interest's 72-score set, keyed by
+    :data:`SUMMARY_NAMES`."""
+    vk, tru, ten = (math.fsum(selected[mai][corpus]) for corpus in CORPORA)
+    return dict(zip(SUMMARY_NAMES, (
+        math.fsum([vk, tru, ten]), vk, tru, ten, vk / 24.0,
+        (tru + ten) / 48.0, (vk + tru) / 48.0, ten / 24.0)))
 
 
 @dataclass(frozen=True)
@@ -299,14 +289,14 @@ class UTestLine:
 
 @dataclass(frozen=True)
 class ReproduceReport:
-    row_sums: Tuple[Comparison, ...]
-    perfect_counts: Tuple[Comparison, ...]
-    block_means: Tuple[Comparison, ...]
-    summaries: Tuple[MaiSummary, ...]
-    summary_checks: Tuple[Comparison, ...]
-    medians: Tuple[Comparison, ...]
+    checks: Tuple[Comparison, ...]
     utests: Tuple[UTestLine, ...]
     notes: Tuple[str, ...]
+
+
+def _sample(selected, mai: str, corpus: Optional[str]) -> Tuple[float, ...]:
+    """One interest's scores on ``corpus``, or on all three for ``None``."""
+    return selected[mai][corpus] if corpus else flat_scores(selected, mai)
 
 
 def reproduce_stats(table: Optional[ScoreTable] = None) -> ReproduceReport:
@@ -318,76 +308,43 @@ def reproduce_stats(table: Optional[ScoreTable] = None) -> ReproduceReport:
     table = table if table is not None else load_scores()
     selected = select_scores(table)
 
-    row_sums = tuple(
-        Comparison(label=f"{model}/{clf} row sum",
-                   computed=table.row_sum(model, clf), reference=ref)
-        for model, clf, ref in REFERENCE_ROW_SUMS)
-    perfect = tuple(
-        Comparison(label=f"{model} cells at 1.0",
-                   computed=float(table.perfect_count(model)),
-                   reference=float(REFERENCE_PERFECT_COUNTS[model]))
-        for model in VECTOR_MODELS)
-    block_means = tuple(
-        Comparison(label=f"{model} block mean",
-                   computed=table.block_mean(model),
-                   reference=REFERENCE_BLOCK_MEANS[model])
-        for model in VECTOR_MODELS)
+    checks = [Comparison("row_sums", f"{model}/{clf} row sum",
+                         table.row_sum(model, clf), ref)
+              for model, clf, ref in REFERENCE_ROW_SUMS]
+    checks += [Comparison("perfect_counts", f"{model} cells at 1.0",
+                          float(table.perfect_count(model)),
+                          float(REFERENCE_PERFECT_COUNTS[model]))
+               for model in VECTOR_MODELS]
+    checks += [Comparison("block_means", f"{model} block mean",
+                          table.block_mean(model),
+                          REFERENCE_BLOCK_MEANS[model])
+               for model in VECTOR_MODELS]
+    for mai in MAIS:
+        summary = summarize_mai(selected, mai)
+        checks += [Comparison("summaries", f"{mai} {name}", summary[name], ref)
+                   for name, ref in zip(SUMMARY_NAMES,
+                                        REFERENCE_SUMMARIES[mai])]
+    checks += [Comparison("medians", f"{mai} median",
+                          float(np.median(flat_scores(selected, mai))),
+                          REFERENCE_MEDIANS[mai])
+               for mai in MAIS]
 
-    summaries = tuple(summarize_mai(selected, mai) for mai in MAIS)
-    checks: List[Comparison] = []
-    notes: List[str] = []
-    for summary in summaries:
-        ref = REFERENCE_SUMMARIES[summary.mai]
-        pairs = (
-            ("total", summary.total, ref[0]),
-            ("vk_ru sum", summary.corpus_sums["vk_ru"], ref[1]),
-            ("t_ru sum", summary.corpus_sums["t_ru"], ref[2]),
-            ("t_en sum", summary.corpus_sums["t_en"], ref[3]),
-            ("vk_ru mean", summary.vk_mean, ref[4]),
-            ("twitter mean", summary.twitter_mean, ref[5]),
-            ("russian mean", summary.russian_mean, ref[6]),
-            ("english mean", summary.english_mean, ref[7]),
-        )
-        for name, computed, reference in pairs:
-            checks.append(Comparison(label=f"{summary.mai} {name}",
-                                     computed=computed, reference=reference))
-    veg = REFERENCE_SUMMARIES["vegetarianism"]
-    veg_summary = summaries[MAIS.index("vegetarianism")]
-    if abs(veg_summary.english_mean - veg[7]) > MATCH_TOL:
-        notes.append(
-            "vegetarianism english mean: the quoted value 0.966 is "
-            "inconsistent with the quoted t_en sum 23.244 over 24 scores; "
-            f"the ratio is {fmt3(veg_summary.english_mean)} and that is what "
-            "this report computes.")
+    veg = next(c for c in checks if c.label == "vegetarianism english mean")
+    notes = () if veg.matched else (
+        "vegetarianism english mean: the quoted value 0.966 is "
+        "inconsistent with the quoted t_en sum 23.244 over 24 scores; "
+        f"the ratio is {fmt3(veg.computed)} and that is what "
+        "this report computes.",)
 
-    medians = tuple(
-        Comparison(label=f"{mai} median",
-                   computed=describe(flat_scores(selected, mai)).median,
-                   reference=REFERENCE_MEDIANS[mai])
-        for mai in MAIS)
-
-    football = selected["football"]
-    rock = selected["rock"]
-    pairs = (
-        (flat_scores(selected, "rock"), flat_scores(selected, "vegetarianism")),
-        (flat_scores(selected, "football"), flat_scores(selected, "rock")),
-        (flat_scores(selected, "football"),
-         flat_scores(selected, "vegetarianism")),
-        (football["vk_ru"], football["t_ru"]),
-        (football["t_en"], football["t_ru"]),
-        (rock["vk_ru"], rock["t_ru"]),
-    )
     utests = tuple(
         UTestLine(label=label,
-                  result=mann_whitney_u(x, y, continuity=False,
-                                        method="normal"),
+                  result=mann_whitney_u(_sample(selected, *x),
+                                        _sample(selected, *y),
+                                        continuity=False, method="normal"),
                   reference_u=ref_u, reference_p=ref_p)
-        for (label, ref_u, ref_p), (x, y) in zip(REFERENCE_UTESTS, pairs))
+        for label, x, y, ref_u, ref_p in REFERENCE_UTESTS)
 
-    return ReproduceReport(row_sums=row_sums, perfect_counts=perfect,
-                           block_means=block_means, summaries=summaries,
-                           summary_checks=tuple(checks), medians=medians,
-                           utests=utests, notes=tuple(notes))
+    return ReproduceReport(checks=tuple(checks), utests=utests, notes=notes)
 
 
 def _mark(ok: bool) -> str:
@@ -406,55 +363,52 @@ def _table(head: str, comparisons: Sequence[Comparison]) -> List[str]:
             + [f"| {' | '.join(_cells(c))} |" for c in comparisons])
 
 
+def _section(report: ReproduceReport, *sections: str) -> List[Comparison]:
+    """The report's checks in ``sections``, in report order."""
+    return [c for c in report.checks if c.section in sections]
+
+
+# The interest table's columns: the corpus sums, the total, then the means.
+_INTEREST_COLUMNS = SUMMARY_NAMES[1:4] + SUMMARY_NAMES[:1] + SUMMARY_NAMES[4:]
+
+
 def render_report(report: ReproduceReport, fmt: str = "markdown") -> str:
     """Serialize a report as markdown or CSV; output is deterministic."""
     if fmt == "csv":
         lines = ["section,label,computed,reference,status"]
-        for section, comps in (("row_sums", report.row_sums),
-                               ("perfect_counts", report.perfect_counts),
-                               ("block_means", report.block_means),
-                               ("summaries", report.summary_checks),
-                               ("medians", report.medians)):
-            lines += [",".join((section,) + _cells(c)) for c in comps]
+        lines += [",".join((c.section,) + _cells(c)) for c in report.checks]
         for u in report.utests:
-            lines.append(
-                f"utest,{u.label} U,U={u.result.u1:.1f},"
-                f"U={u.reference_u:.1f},{_mark(u.u_matched)}")
-            lines.append(
-                f"utest,{u.label} p,{fmt3(u.result.p_two_sided)},"
-                f"{fmt3(u.reference_p)},{_mark(u.p_matched)}")
-        for note in report.notes:
-            lines.append(f"note,{note},,,")
+            lines += [f"utest,{u.label} U,U={u.result.u1:.1f},"
+                      f"U={u.reference_u:.1f},{_mark(u.u_matched)}",
+                      f"utest,{u.label} p,{fmt3(u.result.p_two_sided)},"
+                      f"{fmt3(u.reference_p)},{_mark(u.p_matched)}"]
+        lines += [f"note,{note},,," for note in report.notes]
         return "\n".join(lines) + "\n"
     if fmt != "markdown":
         raise ValueError(f"unknown format {fmt!r}")
 
+    summary = {c.label: c.computed for c in _section(report, "summaries")}
     out = ["# Reference reproduction", "",
            "## Row sums", "",
-           *_table("quantity", report.row_sums), "",
+           *_table("quantity", _section(report, "row_sums")), "",
            "## Score distribution", "",
-           *_table("quantity", report.perfect_counts + report.block_means), "",
+           *_table("quantity",
+                   _section(report, "perfect_counts", "block_means")), "",
            "## Interest score sets", "",
            "| interest | vk_ru | t_ru | t_en | total | mean vk | "
            "mean twitter | mean ru | mean en |",
            "|---|---|---|---|---|---|---|---|---|"]
-    for s in report.summaries:
-        values = (s.corpus_sums["vk_ru"], s.corpus_sums["t_ru"],
-                  s.corpus_sums["t_en"], s.total, s.vk_mean, s.twitter_mean,
-                  s.russian_mean, s.english_mean)
-        out.append(f"| {s.mai} | {' | '.join(map(fmt3, values))} |")
-    out += ["", *_table("check", report.summary_checks + report.medians), "",
-            "## Mann-Whitney U tests", ""]
-    for u in report.utests:
-        out.append(
-            f"- {u.label}: U={u.result.u1:.1f}, "
+    out += [f"| {mai} | "
+            + " | ".join(fmt3(summary[f"{mai} {name}"])
+                         for name in _INTEREST_COLUMNS) + " |"
+            for mai in MAIS]
+    out += ["", *_table("check", _section(report, "summaries", "medians")),
+            "", "## Mann-Whitney U tests", ""]
+    out += [f"- {u.label}: U={u.result.u1:.1f}, "
             f"p={fmt3(u.result.p_two_sided)} "
             f"(reference U={u.reference_u:.1f}, p={fmt3(u.reference_p)}; "
-            f"U {_mark(u.u_matched)}, p {_mark(u.p_matched)})")
+            f"U {_mark(u.u_matched)}, p {_mark(u.p_matched)})"
+            for u in report.utests]
     if report.notes:
-        out.append("")
-        out.append("## Notes")
-        out.append("")
-        for note in report.notes:
-            out.append(f"- {note}")
+        out += ["", "## Notes", "", *(f"- {note}" for note in report.notes)]
     return "\n".join(out) + "\n"

@@ -1,10 +1,10 @@
-"""Mann-Whitney U, percent agreement, and descriptive summaries."""
+"""Mann-Whitney U and percent agreement."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -116,28 +116,27 @@ def mann_whitney_u(x: Sequence[float], y: Sequence[float],
                           f"sample pairs, got {n1} x {n2}")
 
     n = n1 + n2
-    var = n1 * n2 / 12.0 * ((n + 1) - correction / (n * (n - 1))) \
-        if n > 1 else 0.0
-    # z is measured on the larger U; with the continuity correction it can
-    # dip slightly below zero when U1 and U2 almost coincide.
+    var = n1 * n2 / 12.0 * ((n + 1) - correction / (n * (n - 1)))
+    # z is measured on the larger U. The continuity correction applies only
+    # on the normal path; with it, z can dip slightly below zero when U1 and
+    # U2 almost coincide.
+    continuity_applied = continuity and not use_exact
     if var <= 0.0:
         z = 0.0
     else:
         numer = bigu - n1 * n2 / 2.0
-        if continuity:
+        if continuity_applied:
             numer -= 0.5
         z = numer / math.sqrt(var)
 
     if use_exact:
         p = min(1.0, _exact_bigu_tail(n1, n2, bigu))
-        meth = "exact"
     else:
         p = 1.0 if var <= 0.0 else min(1.0, 2.0 * _normal_sf(z))
-        meth = "normal"
     return UTestResult(u1=u1, u2=u2, z=z, p_two_sided=p, n1=n1, n2=n2,
                        tie_groups=tie_groups,
-                       continuity_applied=continuity and meth == "normal",
-                       method=meth)
+                       continuity_applied=continuity_applied,
+                       method="exact" if use_exact else "normal")
 
 
 def percent_agreement(table) -> List[float]:
@@ -158,25 +157,3 @@ def percent_agreement(table) -> List[float]:
         out.append(100.0 * ones / len(rows))
     return out
 
-
-@dataclass(frozen=True)
-class DescriptiveStats:
-    """Sum, mean and median of a sample, plus the sorted values."""
-
-    total: float
-    mean: float
-    median: float
-    values: Tuple[float, ...]
-
-
-def describe(scores: Sequence[float]) -> DescriptiveStats:
-    vals = tuple(sorted(float(v) for v in scores))
-    if not vals:
-        raise EmptySample("cannot describe an empty sample")
-    n = len(vals)
-    total = math.fsum(vals)
-    mean = total / n
-    mid = n // 2
-    median = vals[mid] if n % 2 else (vals[mid - 1] + vals[mid]) / 2.0
-    return DescriptiveStats(total=total, mean=mean, median=median,
-                            values=vals)

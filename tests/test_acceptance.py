@@ -22,13 +22,12 @@ from maiclass.optim import smo_solve
 from maiclass.report import (
     agreement_columns,
     fmt3,
-    flat_scores,
     load_scores,
     reproduce_stats,
     select_scores,
     summarize_mai,
 )
-from maiclass.stats import describe, mann_whitney_u
+from maiclass.stats import mann_whitney_u
 from test_knn import brute_force_predict
 from test_mlp import _safe_point, numeric_gradient
 from test_smo import dual_objective, grid_search_dual, kkt_gap
@@ -107,14 +106,14 @@ SUMMARIES = {
 def test_interest_summaries_match_to_three_decimals(selected):
     for mai, expected in SUMMARIES.items():
         s = summarize_mai(selected, mai)
-        got = {"total": fmt3(s.total),
-               "vk_ru": fmt3(s.corpus_sums["vk_ru"]),
-               "t_ru": fmt3(s.corpus_sums["t_ru"]),
-               "t_en": fmt3(s.corpus_sums["t_en"]),
-               "vk_mean": fmt3(s.vk_mean),
-               "twitter": fmt3(s.twitter_mean),
-               "russian": fmt3(s.russian_mean),
-               "english": fmt3(s.english_mean)}
+        got = {"total": fmt3(s["total"]),
+               "vk_ru": fmt3(s["vk_ru sum"]),
+               "t_ru": fmt3(s["t_ru sum"]),
+               "t_en": fmt3(s["t_en sum"]),
+               "vk_mean": fmt3(s["vk_ru mean"]),
+               "twitter": fmt3(s["twitter mean"]),
+               "russian": fmt3(s["russian mean"]),
+               "english": fmt3(s["english mean"])}
         for name, value in expected.items():
             assert got[name] == value, (mai, name)
 
@@ -123,16 +122,19 @@ def test_single_documented_discrepancy(selected, report):
     # The quoted english mean for vegetarianism (0.966) contradicts the
     # quoted t_en sum 23.244 over 24 scores; the ratio is 0.9685.
     s = summarize_mai(selected, "vegetarianism")
-    assert fmt3(s.english_mean) == "0.969"
-    off = [c.label for c in report.summary_checks if not c.matched]
+    assert fmt3(s["english mean"]) == "0.969"
+    off = [c.label for c in report.checks
+           if c.section == "summaries" and not c.matched]
     assert off == ["vegetarianism english mean"]
     assert report.notes
 
 
-def test_medians_match(selected):
+def test_medians_match(report):
+    computed = {c.label: c.computed for c in report.checks
+                if c.section == "medians"}
     for mai, expected in (("football", "0.982"), ("rock", "0.971"),
                           ("vegetarianism", "0.968")):
-        assert fmt3(describe(flat_scores(selected, mai)).median) == expected
+        assert fmt3(computed[f"{mai} median"]) == expected
 
 
 U_TESTS = (

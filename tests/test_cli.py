@@ -298,6 +298,18 @@ def test_utest_output(capsys, tmp_path):
     assert "n1=4, n2=4" in out
 
 
+def test_utest_exact_z_matches_its_continuity_off(capsys, tmp_path):
+    # U1 = U2, so with no continuity correction on the exact path z is 0.
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text("inf -inf\n", encoding="utf-8")
+    b.write_text("1 2 3\n", encoding="utf-8")
+    code, out, _ = run(capsys, "utest", str(a), str(b))
+    assert code == 0
+    assert out.startswith("U1=3.0 U2=3.0 z=0.0000 p=1 ")
+    assert "method=exact, continuity=off" in out
+
+
 def test_utest_forced_normal(capsys, tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

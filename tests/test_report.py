@@ -22,6 +22,7 @@ from maiclass.report import (
     REFERENCE_PERFECT_COUNTS,
     REFERENCE_ROW_SUMS,
     REFERENCE_SUMMARIES,
+    SUMMARY_NAMES,
     ScoreTable,
     default_scores_path,
     flat_scores,
@@ -33,7 +34,6 @@ from maiclass.report import (
     select_scores,
     summarize_mai,
 )
-from maiclass.stats import describe
 
 
 @pytest.fixture(scope="module")
@@ -173,9 +173,9 @@ def test_default_rule_knn_flag(table):
         for model, clf, corpus, mai in table.cells})
     selected = select_scores(flipped)
     for mai in MAIS:
-        sums = summarize_mai(selected, mai).corpus_sums
+        s = summarize_mai(selected, mai)
         for corpus, ref in zip(CORPORA, REFERENCE_SUMMARIES[mai][1:4]):
-            assert abs(sums[corpus] - ref) > MATCH_TOL, (mai, corpus)
+            assert abs(s[f"{corpus} sum"] - ref) > MATCH_TOL, (mai, corpus)
 
 
 def test_variant_model_mapping():
@@ -189,37 +189,45 @@ def test_variant_model_mapping():
 
 def test_football_summary(selected):
     s = summarize_mai(selected, "football")
-    assert fmt3(s.total) == "67.040"
-    assert fmt3(s.corpus_sums["vk_ru"]) == "20.570"
-    assert fmt3(s.corpus_sums["t_ru"]) == "22.816"
-    assert fmt3(s.corpus_sums["t_en"]) == "23.654"
-    assert fmt3(s.vk_mean) == "0.857"
-    assert fmt3(s.twitter_mean) == "0.968"
-    assert fmt3(s.russian_mean) == "0.904"
-    assert fmt3(s.english_mean) == "0.986"
+    assert fmt3(s["total"]) == "67.040"
+    assert fmt3(s["vk_ru sum"]) == "20.570"
+    assert fmt3(s["t_ru sum"]) == "22.816"
+    assert fmt3(s["t_en sum"]) == "23.654"
+    assert fmt3(s["vk_ru mean"]) == "0.857"
+    assert fmt3(s["twitter mean"]) == "0.968"
+    assert fmt3(s["russian mean"]) == "0.904"
+    assert fmt3(s["english mean"]) == "0.986"
 
 
 def test_rock_and_vegetarianism_totals(selected):
-    assert fmt3(summarize_mai(selected, "rock").total) == "66.700"
-    assert fmt3(summarize_mai(selected, "vegetarianism").total) == "66.810"
+    assert fmt3(summarize_mai(selected, "rock")["total"]) == "66.700"
+    assert fmt3(summarize_mai(selected, "vegetarianism")["total"]) \
+        == "66.810"
 
 
 def test_mean_identities(selected):
     for mai in MAIS:
         s = summarize_mai(selected, mai)
-        vk = s.corpus_sums["vk_ru"]
-        tru = s.corpus_sums["t_ru"]
-        ten = s.corpus_sums["t_en"]
-        assert s.vk_mean == pytest.approx(vk / 24.0)
-        assert s.twitter_mean == pytest.approx((tru + ten) / 48.0)
-        assert s.russian_mean == pytest.approx((vk + tru) / 48.0)
-        assert s.english_mean == pytest.approx(ten / 24.0)
+        vk = s["vk_ru sum"]
+        tru = s["t_ru sum"]
+        ten = s["t_en sum"]
+        assert s["total"] == pytest.approx(vk + tru + ten)
+        assert s["vk_ru mean"] == pytest.approx(vk / 24.0)
+        assert s["twitter mean"] == pytest.approx((tru + ten) / 48.0)
+        assert s["russian mean"] == pytest.approx((vk + tru) / 48.0)
+        assert s["english mean"] == pytest.approx(ten / 24.0)
 
 
 def test_medians(selected):
+    report = reproduce_stats()
+    computed = {c.label: c.computed for c in report.checks
+                if c.section == "medians"}
     for mai in MAIS:
-        med = describe(flat_scores(selected, mai)).median
-        assert fmt3(med) == fmt3(REFERENCE_MEDIANS[mai])
+        # Oracle: the mean of the two middle values of the 72 sorted scores.
+        ordered = sorted(flat_scores(selected, mai))
+        assert computed[f"{mai} median"] == (ordered[35] + ordered[36]) / 2.0
+        assert fmt3(computed[f"{mai} median"]) \
+            == fmt3(REFERENCE_MEDIANS[mai])
 
 
 def test_fmt3_half_up():
@@ -232,10 +240,10 @@ def test_fmt3_half_up():
 
 def test_reproduce_report_matches():
     report = reproduce_stats()
-    assert all(c.matched for c in report.row_sums)
-    assert all(c.matched for c in report.perfect_counts)
-    assert all(c.matched for c in report.block_means)
-    assert all(c.matched for c in report.medians)
+    assert [c.section for c in report.checks] == (
+        ["row_sums"] * 5 + ["perfect_counts"] * 3 + ["block_means"] * 3
+        + ["summaries"] * 24 + ["medians"] * 3)
+    assert all(c.matched for c in report.checks if c.section != "summaries")
     for u in report.utests:
         assert u.u_matched, u.label
         assert u.p_matched, u.label
@@ -243,7 +251,7 @@ def test_reproduce_report_matches():
 
 def test_reproduce_documents_single_discrepancy():
     report = reproduce_stats()
-    off = [c.label for c in report.summary_checks if not c.matched]
+    off = [c.label for c in report.checks if not c.matched]
     assert off == ["vegetarianism english mean"]
     assert len(report.notes) == 1
     assert "vegetarianism english mean" in report.notes[0]
@@ -278,6 +286,21 @@ def test_render_csv(table):
     assert text == render_report(report, fmt="csv")
 
 
+def test_markdown_and_csv_carry_the_same_checks(table):
+    report = reproduce_stats(table)
+    markdown = []
+    for line in render_report(report).splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if line.startswith("| ") and len(cells) == 4 \
+                and cells[1] != "computed":
+            markdown.append(tuple(cells))
+    csv_rows = [tuple(line.split(",")[1:])
+                for line in render_report(report, fmt="csv").splitlines()[1:]
+                if line.split(",")[0] not in ("utest", "note")]
+    assert markdown == csv_rows
+    assert len(markdown) == len(report.checks) == 38
+
+
 def test_render_unknown_format(table):
     with pytest.raises(ValueError):
         render_report(reproduce_stats(table), fmt="html")
@@ -306,4 +329,4 @@ def test_score_table_is_read_only(table):
 
 def test_summary_reference_table_shape():
     for mai in MAIS:
-        assert len(REFERENCE_SUMMARIES[mai]) == 8
+        assert len(REFERENCE_SUMMARIES[mai]) == len(SUMMARY_NAMES) == 8

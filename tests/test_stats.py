@@ -1,4 +1,4 @@
-"""Mann-Whitney U, percent agreement, and descriptive statistics."""
+"""Mann-Whitney U and percent agreement."""
 
 import itertools
 import math
@@ -16,7 +16,6 @@ from maiclass.errors import (
 )
 from maiclass.stats import (
     _midranks,
-    describe,
     mann_whitney_u,
     percent_agreement,
 )
@@ -253,6 +252,19 @@ def test_auto_switches_to_normal_for_large_or_tied():
     assert not small.continuity_applied
 
 
+def test_exact_path_z_has_no_continuity_correction():
+    # U1 = U2 = 3, so the uncorrected z is 0; subtracting the 0.5 that only
+    # the normal path applies would give -0.2887.
+    res = mann_whitney_u([math.inf, -math.inf], [1.0, 2.0, 3.0])
+    assert res.method == "exact"
+    assert not res.continuity_applied
+    assert res.z == 0.0
+    normal = mann_whitney_u([math.inf, -math.inf], [1.0, 2.0, 3.0],
+                            method="normal")
+    assert normal.continuity_applied
+    assert normal.z == pytest.approx(-0.5 / math.sqrt(3.0))
+
+
 def test_continuity_flag_reported():
     on = mann_whitney_u([1.0, 5.0], [2.0, 3.0], method="normal")
     off = mann_whitney_u([1.0, 5.0], [2.0, 3.0], continuity=False,
@@ -285,22 +297,3 @@ def test_percent_agreement_errors():
     with pytest.raises(ValueError):
         percent_agreement([[1, 2]])
 
-
-def test_describe_basics():
-    stats = describe([1.0, 1.0, 1.0])
-    assert stats.total == 3.0
-    assert stats.mean == 1.0
-    assert stats.median == 1.0
-    assert stats.values == (1.0, 1.0, 1.0)
-    assert len(stats.values) == 3
-
-
-def test_describe_median_even_length():
-    stats = describe([4.0, 1.0, 3.0, 2.0])
-    assert stats.median == 2.5
-    assert stats.total == 10.0
-
-
-def test_describe_empty():
-    with pytest.raises(EmptySample):
-        describe([])
