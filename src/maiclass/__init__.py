@@ -23,7 +23,6 @@ from .evaluate import (
 )
 from .features import (
     VECTOR_MODELS,
-    FeatureMatrix,
     Vocabulary,
     build_matrix,
     build_vocabulary,
@@ -48,7 +47,6 @@ __all__ = [
     "Corpus",
     "Document",
     "EvalResult",
-    "FeatureMatrix",
     "ScoreTable",
     "TrainedModel",
     "VECTOR_MODELS",

@@ -1,10 +1,10 @@
 """Uniform train/predict facade over the twelve classifier configurations.
 
 A :class:`ClassifierSpec` names one of the :data:`ALGORITHMS`, each a single
-fixed configuration; :func:`train` fits it to a feature matrix and returns a
-:class:`TrainedModel` that predicts string labels. Class codes are always
-assigned by sorted label order, so results do not depend on the order
-documents appear in.
+fixed configuration; :func:`train` fits it to feature rows and their labels
+and returns a :class:`TrainedModel` that predicts string labels. Class
+codes are always assigned by sorted label order, so results do not depend
+on the order documents appear in.
 
 :func:`train` and :func:`predict` are the one place that checks estimator
 input: ``fit(X, y, n_classes, rng)`` always gets a finite float64 ``X`` of
@@ -83,11 +83,13 @@ class TrainedModel:
 
 def _run_estimator(algorithm: str, call, *args):
     """``call(*args)`` with float overflow, invalid and divide-by-zero
-    raising; each ends as :class:`NumericalFailure` naming ``algorithm``."""
+    raising; each, and a :class:`NumericalFailure` the call raises (an
+    optimizer that cannot step), ends as :class:`NumericalFailure` naming
+    ``algorithm``."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return call(*args)
-    except FloatingPointError as exc:
+    except (FloatingPointError, NumericalFailure) as exc:
         raise NumericalFailure(f"{algorithm}: {exc}") from exc
 
 
@@ -105,21 +107,8 @@ def _require_finite(X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _resolve_data(data):
-    if hasattr(data, "rows") and hasattr(data, "labels"):
-        rows, labels = data.rows, data.labels
-    else:
-        rows, labels = data
-    X, labels = np.asarray(rows, dtype=np.float64), tuple(labels)
-    if X.ndim != 2 or X.shape[0] != len(labels) or not X.shape[1]:
-        raise DimensionMismatch(
-            f"expected 2-D rows with at least one column, one per label "
-            f"({len(labels)}), got shape {X.shape}")
-    return _require_finite(X), labels
-
-
 def train(spec: ClassifierSpec, data, seed: int = 0) -> TrainedModel:
-    """Fit one classifier; ``data`` is a FeatureMatrix or (rows, labels).
+    """Fit one classifier to ``data``, a (rows, labels) pair.
 
     ``seed`` only influences algorithms with random initialisation (the two
     MLPs); everything else is deterministic regardless. Rows not of shape
@@ -127,7 +116,13 @@ def train(spec: ClassifierSpec, data, seed: int = 0) -> TrainedModel:
     rows holding NaN or an infinity, or whose values overflow the fit's
     arithmetic, raise :class:`NumericalFailure`.
     """
-    X, labels = _resolve_data(data)
+    rows, labels = data
+    X, labels = np.asarray(rows, dtype=np.float64), tuple(labels)
+    if X.ndim != 2 or X.shape[0] != len(labels) or not X.shape[1]:
+        raise DimensionMismatch(
+            f"expected 2-D rows with at least one column, one per label "
+            f"({len(labels)}), got shape {X.shape}")
+    _require_finite(X)
     classes = tuple(sorted(set(labels)))
     if len(classes) < 2:
         raise DegenerateLabels(

@@ -26,20 +26,21 @@ _MODEL_OF_FLAG = {"bernoulli": "bernoulli", "plain": "plain_freq",
                   "norm": "norm_freq"}
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)  # argparse reports a ValueError as a usage error
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return value
+def _int_option(minimum: int):
+    """An argparse type for an ASCII integer of at least ``minimum`` (0 or
+    1); ``int`` alone also reads ``1_0`` and non-ASCII digits."""
+    kind = "positive" if minimum else "non-negative"
 
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)  # argparse reports a ValueError as a usage error
-    if value < 0:
+    def parse(text: str) -> int:
+        try:
+            if text.isascii() and "_" not in text and int(text) >= minimum:
+                return int(text)
+        except ValueError:
+            pass
         raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
-    return value
+            f"expected a {kind} integer, got {text!r}")
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("validate",
                        help="check corpus balance and tokenization")
     v.add_argument("corpus", help="JSONL corpus file")
-    v.add_argument("--per-class", type=_positive_int, default=30,
+    v.add_argument("--per-class", type=_int_option(1), default=30,
                    help="expected documents per class (default 30)")
 
     e = sub.add_parser("eval", help="repeated stratified split evaluation")
@@ -62,9 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all", help="vector model (default all)")
     e.add_argument("--algo", choices=ALGORITHMS + ("all",), default="all",
                    help="classifier (default all)")
-    e.add_argument("--runs", type=_positive_int, default=5)
-    e.add_argument("--seed", type=_non_negative_int, default=0)
-    e.add_argument("--vocab", type=_positive_int, default=1000,
+    e.add_argument("--runs", type=_int_option(1), default=5)
+    e.add_argument("--seed", type=_int_option(0), default=0)
+    e.add_argument("--vocab", type=_int_option(1), default=1000,
                    help="vocabulary size (default 1000)")
     e.add_argument("--out", help="write output here instead of stdout")
     e.add_argument("--format", choices=("csv", "markdown"), default="csv")

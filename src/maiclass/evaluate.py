@@ -6,7 +6,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -48,38 +48,19 @@ def stratified_split(corpus: Corpus, seed: int
     return tuple(train), tuple(test)
 
 
-@dataclass(frozen=True)
-class F1Result:
-    """Per-class one-vs-rest F1 plus which classes were degenerate (0/0)."""
-
-    per_class: Dict[str, float]
-    degenerate: FrozenSet[str]
-
-
 def f1_scores(gold: Sequence[str], predicted: Sequence[str],
-              classes: Sequence[str]) -> F1Result:
+              classes: Sequence[str]) -> Dict[str, float]:
     """One-vs-rest F1 for each class; empty precision+recall counts as 0."""
     if len(gold) != len(predicted):
         raise LengthMismatch(
             f"gold has {len(gold)} labels, predictions {len(predicted)}")
     per_class: Dict[str, float] = {}
-    degenerate = set()
     for label in classes:
-        tp = fp = fn = 0
-        for g, p in zip(gold, predicted):
-            if p == label and g == label:
-                tp += 1
-            elif p == label:
-                fp += 1
-            elif g == label:
-                fn += 1
-        denom = 2 * tp + fp + fn
-        if denom == 0:
-            per_class[label] = 0.0
-            degenerate.add(label)
-        else:
-            per_class[label] = 2 * tp / denom
-    return F1Result(per_class=per_class, degenerate=frozenset(degenerate))
+        tp = sum(g == p == label for g, p in zip(gold, predicted))
+        # 2 tp + fp + fn: the label's gold count plus its predicted count.
+        denom = gold.count(label) + predicted.count(label)
+        per_class[label] = 2 * tp / denom if denom else 0.0
+    return per_class
 
 
 @dataclass(frozen=True)
@@ -89,11 +70,11 @@ class EvalResult:
     algorithm: str
     vector_model: str
     classes: Tuple[str, ...]
-    runs: Tuple[F1Result, ...]
+    runs: Tuple[Dict[str, float], ...]
 
     @property
     def mean_f1(self) -> Dict[str, float]:
-        return {label: sum(r.per_class[label] for r in self.runs)
+        return {label: sum(r[label] for r in self.runs)
                 / len(self.runs) for label in self.classes}
 
 
@@ -107,7 +88,8 @@ def run_seeds(master_seed: int, run: int) -> Tuple[int, int]:
 def _score_run(run: int, corpus: Corpus, docs: InternedDocuments,
                vector_models: Sequence[str], specs: Sequence[ClassifierSpec],
                vocab_size: int, master_seed: int,
-               buffers: List[np.ndarray]) -> Dict[str, List[F1Result]]:
+               buffers: List[np.ndarray]
+               ) -> Dict[str, List[Dict[str, float]]]:
     """Run ``run``'s F1 per vector model, for each of ``specs`` in order.
 
     The run draws its split and training seed from ``run_seeds(master_seed,
@@ -123,7 +105,7 @@ def _score_run(run: int, corpus: Corpus, docs: InternedDocuments,
     cell's vector model and algorithm.
     """
     split_seed, train_seed = run_seeds(master_seed, run)
-    scores: Dict[str, List[F1Result]] = {}
+    scores: Dict[str, List[Dict[str, float]]] = {}
     vector_model = algorithm = None
     try:
         train_idx, test_idx = stratified_split(corpus, split_seed)
@@ -133,24 +115,26 @@ def _score_run(run: int, corpus: Corpus, docs: InternedDocuments,
         for i, half in enumerate((train_docs, test_docs)):
             if buffers[i].size < len(half) * vocab.size:
                 buffers[i] = np.empty(len(half) * vocab.size)
+        labels = [d.label for d in train_docs]
         gold = [d.label for d in test_docs]
         for vector_model in DERIVE_ORDER:
             if vector_model not in vector_models:
                 continue
             algorithm = None
             if not scores:
-                train_m = build_matrix(train_docs, vocab, vector_model,
-                                       out=buffers[0])
-                test_m = build_matrix(test_docs, vocab, vector_model,
-                                      out=buffers[1])
+                train_rows = build_matrix(train_docs, vocab, vector_model,
+                                          out=buffers[0])
+                test_rows = build_matrix(test_docs, vocab, vector_model,
+                                         out=buffers[1])
             else:
-                train_m = derive_matrix(train_m, train_docs, vector_model)
-                test_m = derive_matrix(test_m, test_docs, vector_model)
+                derive_matrix(train_rows, train_docs, source, vector_model)
+                derive_matrix(test_rows, test_docs, source, vector_model)
+            source = vector_model
             cell = scores[vector_model] = []
             for spec in specs:
                 algorithm = spec.algorithm
-                model = train(spec, train_m, seed=train_seed)
-                cell.append(f1_scores(gold, predict(model, test_m.rows),
+                model = train(spec, (train_rows, labels), seed=train_seed)
+                cell.append(f1_scores(gold, predict(model, test_rows),
                                       corpus.classes))
     except MaiclassError as exc:
         raise RunFailure(run, exc, vector_model, algorithm) from exc
@@ -222,7 +206,7 @@ def results_to_csv(results: Sequence[EvalResult]) -> str:
     for res in results:
         for label, mean in res.mean_f1.items():
             cells = [res.algorithm, res.vector_model, label]
-            cells += [f"{r.per_class[label]:.6f}" for r in res.runs]
+            cells += [f"{r[label]:.6f}" for r in res.runs]
             cells.append(f"{mean:.6f}")
             lines.append(_csv_line(cells))
     return "".join(lines)

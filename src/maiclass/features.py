@@ -21,7 +21,7 @@ presence (a test for a value above 0).
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -101,7 +101,6 @@ class Vocabulary:
     """Tokens ordered by descending corpus frequency, ties lexicographic."""
 
     tokens: tuple[str, ...]
-    counts: dict[str, int]
 
     @property
     def size(self) -> int:
@@ -125,9 +124,7 @@ def build_vocabulary(docs: Sequence[Document], k: int) -> Vocabulary:
     top = top[counts[top] > 0].tolist()
     if not top:
         raise EmptyCorpus("no tokens in any document")
-    tokens = tuple(docs.lexicon[i] for i in top)
-    return Vocabulary(tokens=tokens,
-                      counts=dict(zip(tokens, counts[top].tolist())))
+    return Vocabulary(tokens=tuple(docs.lexicon[i] for i in top))
 
 
 def _count_rows(docs: InternedDocuments, vocab: Vocabulary,
@@ -176,23 +173,9 @@ def _to_model(rows: np.ndarray, lengths: np.ndarray, model: str) -> None:
         np.greater(rows, 0.0, out=rows)
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """A vectorized corpus: one row per document, aligned labels."""
-
-    model: str
-    vocab: Vocabulary
-    rows: np.ndarray
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.rows.shape[0] != len(self.labels):
-            raise ValueError("row count does not match label count")
-
-
 def build_matrix(docs: Sequence[Document], vocab: Vocabulary, model: str, *,
-                 out: np.ndarray | None = None) -> FeatureMatrix:
-    """Vectorize every document under ``model``, preserving order.
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The rows of every document under ``model``, in document order.
 
     The rows are a fresh ``(len(docs), vocab.size)`` array, or, given a
     flat float64 buffer ``out`` of at least that many values, a view of
@@ -208,21 +191,17 @@ def build_matrix(docs: Sequence[Document], vocab: Vocabulary, model: str, *,
     docs = InternedDocuments.of(docs)
     rows = _count_rows(docs, vocab, out)
     _to_model(rows, docs.lengths, model)
-    return FeatureMatrix(
-        model=model, vocab=vocab, rows=rows, labels=tuple(doc.label for doc in docs)
-    )
+    return rows
 
 
-def derive_matrix(matrix: FeatureMatrix, docs: InternedDocuments,
-                  model: str) -> FeatureMatrix:
-    """``matrix`` of ``docs`` turned into ``model`` in place, same rows array.
+def derive_matrix(rows: np.ndarray, docs: InternedDocuments, source: str,
+                  model: str) -> None:
+    """Turn ``rows`` of ``docs`` under ``source`` into ``model``, in place.
 
-    ``model`` must come after ``matrix.model`` in ``DERIVE_ORDER``; the
-    result holds the bytes ``build_matrix(docs, matrix.vocab, model)``
-    would, and ``matrix`` no longer holds its own model's values.
+    ``model`` must come after ``source`` in ``DERIVE_ORDER``; ``rows`` then
+    hold the bytes ``build_matrix(docs, vocab, model)`` would.
     """
-    if model not in DERIVE_ORDER or \
-            DERIVE_ORDER.index(model) <= DERIVE_ORDER.index(matrix.model):
-        raise ValueError(f"cannot derive {model!r} from {matrix.model!r}")
-    _to_model(matrix.rows, docs.lengths, model)
-    return replace(matrix, model=model)
+    if source not in DERIVE_ORDER or model not in DERIVE_ORDER or \
+            DERIVE_ORDER.index(model) <= DERIVE_ORDER.index(source):
+        raise ValueError(f"cannot derive {model!r} from {source!r}")
+    _to_model(rows, docs.lengths, model)

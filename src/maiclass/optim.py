@@ -8,7 +8,8 @@ All three stop the same way: not converging is a result, never an
 exception. A solver that runs out of iterations, or an L-BFGS line search
 that finds no Wolfe step, returns the best iterate so far, its iteration
 count and ``converged=False``. Only bad input raises: an invalid argument,
-or a non-finite value the solver cannot step past (:class:`NumericalFailure`).
+a non-finite value the solver cannot step past, or, for L-BFGS, no Wolfe
+step at all from an unconverged ``x0`` (:class:`NumericalFailure`).
 """
 
 from __future__ import annotations
@@ -134,10 +135,11 @@ def lbfgs_minimize(objective: Oracle, x0, max_iterations: int = 200,
     """Limited-memory BFGS with a strong Wolfe line search.
 
     ``objective(x)`` must return ``(value, gradient)``. Raises
-    :class:`NumericalFailure` when the oracle is non-finite at ``x0``.
-    Converges when the gradient 2-norm drops to ``tolerance``. When no step
-    satisfies the Wolfe conditions, or the iteration budget runs out, the
-    best iterate so far is returned with ``converged=False``; ``iterations``
+    :class:`NumericalFailure` when the oracle is non-finite at ``x0``, or
+    when no step from an unconverged ``x0`` satisfies the Wolfe conditions.
+    Converges when the gradient 2-norm drops to ``tolerance``. When a later
+    step finds no Wolfe point, or the iteration budget runs out, the best
+    iterate so far is returned with ``converged=False``; ``iterations``
     counts the accepted steps.
     """
     _check_budget(max_iterations, tolerance)
@@ -160,6 +162,9 @@ def lbfgs_minimize(objective: Oracle, x0, max_iterations: int = 200,
             g0d = -float(g @ g)
         a_init = 1.0 if s_hist else min(1.0, 1.0 / max(gnorm, 1.0))
         step = _line_search(objective, x, d, f, g0d, a_init)
+        if step is None and not iterations:
+            raise NumericalFailure("line search found no step from the "
+                                   f"starting point (|g| = {gnorm:.3g})")
         if step is None:
             break
         a, f_new, g_new = step

@@ -6,7 +6,10 @@ synthetic corpus, the analytic-gradient and dual-solver oracles, the
 rank-statistic identities, and byte-identical repeated evaluation.
 """
 
+import hashlib
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,8 @@ from maiclass.classifiers.linear import logistic_loss_and_grad
 from maiclass.classifiers.mlp import mlp_loss_and_grad
 from maiclass.classifiers.neighbors import KNeighbors
 from maiclass.corpus import Corpus, Document
-from maiclass.evaluate import results_to_csv, run_experiment
+from maiclass.evaluate import results_to_csv, run_experiment, run_grid
+from maiclass.features import VECTOR_MODELS
 from maiclass.optim import smo_solve
 from maiclass.report import (
     agreement_columns,
@@ -49,17 +53,21 @@ def report():
     return reproduce_stats()
 
 
+REPO = Path(__file__).resolve().parents[1]
+GOLDEN_GRID = REPO / "tests" / "data" / "grid-paper-seed0.csv"
+
+
 @pytest.fixture(scope="module")
 def synthetic_eval(synthetic_corpus):
-    """All twelve classifiers on presence and frequency vectors, timed."""
+    """The golden grid: three vector models x twelve classifiers x five
+    runs at seed 0, its results by (vector model, algorithm), timed."""
     start = time.monotonic()
-    results = {}
-    for model in ("bernoulli", "plain_freq"):
-        for algo in ALGORITHMS:
-            results[(model, algo)] = run_experiment(
-                synthetic_corpus, model, ClassifierSpec(algorithm=algo),
-                runs=5, master_seed=0)
-    return results, time.monotonic() - start
+    grid = run_grid(synthetic_corpus, VECTOR_MODELS,
+                    [ClassifierSpec(algorithm=algo) for algo in ALGORITHMS],
+                    runs=5, vocab_size=1000, master_seed=0)
+    elapsed = time.monotonic() - start
+    return {(res.vector_model, res.algorithm): res for res in grid}, \
+        results_to_csv(grid), elapsed
 
 
 # ---------------------------------------------------------------- score grid
@@ -162,8 +170,22 @@ def test_expert_agreement_percentages():
 
 # -------------------------------------------------------- synthetic corpus
 
+def test_golden_grid_csv_is_byte_identical(synthetic_eval):
+    _, text, _ = synthetic_eval
+    assert text.encode("utf-8") == GOLDEN_GRID.read_bytes()
+
+
+def test_golden_grid_file_is_the_benchmark_reference():
+    # The benchmark's grid-paper seed 0 corpus is this suite's synthetic
+    # corpus, so its reference hash must be the golden file's.
+    refs = json.loads((REPO / "perfbench" / "references.json")
+                      .read_text(encoding="utf-8"))
+    assert hashlib.sha256(GOLDEN_GRID.read_bytes()).hexdigest() \
+        == refs["grid-paper"]["0"]
+
+
 def test_presence_vectors_classify_synthetic_corpus_perfectly(synthetic_eval):
-    results, _ = synthetic_eval
+    results, _, _ = synthetic_eval
     for algo in ALGORITHMS:
         res = results[("bernoulli", algo)]
         for label in res.classes:
@@ -171,7 +193,7 @@ def test_presence_vectors_classify_synthetic_corpus_perfectly(synthetic_eval):
 
 
 def test_frequency_vectors_classify_synthetic_corpus_strongly(synthetic_eval):
-    results, _ = synthetic_eval
+    results, _, _ = synthetic_eval
     strong = 0
     for algo in ALGORITHMS:
         res = results[("plain_freq", algo)]
@@ -182,7 +204,7 @@ def test_frequency_vectors_classify_synthetic_corpus_strongly(synthetic_eval):
 
 
 def test_synthetic_suite_runs_inside_a_minute(synthetic_eval):
-    _, elapsed = synthetic_eval
+    _, _, elapsed = synthetic_eval
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
 
 
@@ -338,6 +360,6 @@ def test_repeated_evaluation_is_byte_identical():
     second = run_experiment(corpus, "plain_freq", spec, runs=3, master_seed=5)
     assert results_to_csv([first]).encode("utf-8") \
         == results_to_csv([second]).encode("utf-8")
-    scores = [r.per_class[label] for r in first.runs
+    scores = [r[label] for r in first.runs
               for label in first.classes]
     assert min(scores) < 1.0  # the label noise actually bites

@@ -187,6 +187,17 @@ def test_large_rows_keep_their_support_vectors(algo, scale):
     assert list(got) == SEPARABLE_LABELS
 
 
+@pytest.mark.parametrize("scale", [1e50, 1e100])
+def test_logistic_that_cannot_step_from_zero_is_numerical_failure(scale):
+    # The first trial step, 1/|g|, is far above the step the minimiser
+    # needs, and the zoom cannot shrink it enough: no one-vs-rest fit moves
+    # from zero, which once predicted "a" everywhere.
+    with pytest.raises(NumericalFailure,
+                       match="^logistic_regression: line search found no"):
+        train(ClassifierSpec("logistic_regression"),
+              (SEPARABLE_ROWS * scale, SEPARABLE_LABELS))
+
+
 def test_svm_poly_overflow_names_the_algorithm():
     # The cube of inner products near 1e200 overflows the polynomial
     # kernel; fitted on that inf, the model predicts one class everywhere.

@@ -25,7 +25,7 @@ from conftest import (
     write_jsonl,
 )
 import maiclass
-from maiclass import corpus as corpus_module
+from maiclass import cli, corpus as corpus_module
 from maiclass.cli import main
 from maiclass.errors import IoError, MaiclassError
 from maiclass.report import default_scores_path
@@ -194,21 +194,37 @@ def test_eval_bad_model_flag(capsys, corpus_jsonl_path):
     assert "invalid choice" in err
 
 
+# int() reads "1_0" as 10, an Arabic-Indic three as 3 and a fullwidth
+# five as 5; none of them is an ASCII integer.
 @pytest.mark.parametrize("flag, value", [("--runs", "0"), ("--runs", "-1"),
+                                         ("--runs", "1_0"),
+                                         ("--runs", "\u0663"),
+                                         ("--runs", "\uff15"),
+                                         ("--runs", "2.0"),
                                          ("--vocab", "0"),
-                                         ("--per-class", "0")])
-def test_eval_non_positive_count_is_usage_error(capsys, corpus_jsonl_path,
-                                                flag, value):
+                                         ("--vocab", "1_000"),
+                                         ("--per-class", "0"),
+                                         ("--per-class", "\uff13\uff10")])
+def test_bad_count_is_usage_error(capsys, corpus_jsonl_path, flag, value):
     command = "validate" if flag == "--per-class" else "eval"
-    code, _, err = run(capsys, command, corpus_jsonl_path, flag, value)
+    code, out, err = run(capsys, command, corpus_jsonl_path, flag, value)
     assert code == 2
+    assert out == ""
     assert "positive integer" in err
 
 
-def test_eval_negative_seed_is_usage_error(capsys, corpus_jsonl_path):
-    code, _, err = run(capsys, "eval", corpus_jsonl_path, "--seed", "-1")
+@pytest.mark.parametrize("value", ["-1", "1_0", "\u0663", "\uff15", ""])
+def test_bad_seed_is_usage_error(capsys, corpus_jsonl_path, value):
+    code, out, err = run(capsys, "eval", corpus_jsonl_path, "--seed", value)
     assert code == 2
+    assert out == ""
     assert "non-negative integer" in err
+
+
+def test_count_options_take_ascii_integers_as_int_reads_them():
+    parse = cli._int_option(1)
+    assert [parse(text) for text in ("7", " 7", "+7", "007")] == [7] * 4
+    assert cli._int_option(0)("0") == 0
 
 
 @pytest.mark.parametrize("command", ["validate", "eval", "utest", "agreement",

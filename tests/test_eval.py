@@ -21,7 +21,6 @@ from maiclass.errors import (
 )
 from maiclass.evaluate import (
     EvalResult,
-    F1Result,
     f1_scores,
     results_to_csv,
     run_experiment,
@@ -84,23 +83,37 @@ def test_class_too_small():
 
 def test_f1_perfect_and_half():
     perfect = f1_scores(["a", "b"], ["a", "b"], ["a", "b"])
-    assert perfect.per_class == {"a": 1.0, "b": 1.0}
+    assert perfect == {"a": 1.0, "b": 1.0}
     # Class a: TP=1, FP=1, FN=1 -> F1 = 2/(2+1+1) = 0.5.
     mixed = f1_scores(["a", "a", "b"], ["a", "b", "a"], ["a", "b"])
-    assert mixed.per_class["a"] == 0.5
-    assert mixed.per_class["b"] == 0.0
-    assert not mixed.degenerate
+    assert mixed == {"a": 0.5, "b": 0.0}
 
 
-def test_f1_degenerate_class_flagged():
+def test_f1_of_a_class_neither_gold_nor_predicted_is_zero():
     res = f1_scores(["a", "a"], ["a", "a"], ["a", "b"])
-    assert res.per_class == {"a": 1.0, "b": 0.0}
-    assert res.degenerate == frozenset({"b"})
+    assert res == {"a": 1.0, "b": 0.0}
 
 
 def test_f1_length_mismatch():
     with pytest.raises(LengthMismatch):
         f1_scores(["a"], ["a", "b"], ["a", "b"])
+
+
+def reference_f1(gold, predicted, classes):
+    """Per-pair confusion counts, then 2 tp / (2 tp + fp + fn), 0/0 as 0."""
+    scores = {}
+    for label in classes:
+        tp = fp = fn = 0
+        for g, p in zip(gold, predicted):
+            if p == label and g == label:
+                tp += 1
+            elif p == label:
+                fp += 1
+            elif g == label:
+                fn += 1
+        denom = 2 * tp + fp + fn
+        scores[label] = 2 * tp / denom if denom else 0.0
+    return scores
 
 
 @given(st.data())
@@ -113,6 +126,8 @@ def test_f1_invariant_under_pair_permutation(data):
     shuffled = f1_scores([gold[i] for i in perm], [pred[i] for i in perm],
                          ["a", "b"])
     assert direct == shuffled
+    # "c" is in neither list, so its F1 is 0/0.
+    assert f1_scores(gold, pred, "abc") == reference_f1(gold, pred, "abc")
 
 
 @given(st.data())
@@ -124,8 +139,8 @@ def test_f1_respects_label_bijection(data):
     direct = f1_scores(gold, pred, ["a", "b"])
     renamed = f1_scores([rename[g] for g in gold], [rename[p] for p in pred],
                         ["x", "y"])
-    assert direct.per_class["a"] == renamed.per_class["x"]
-    assert direct.per_class["b"] == renamed.per_class["y"]
+    assert direct["a"] == renamed["x"]
+    assert direct["b"] == renamed["y"]
 
 
 def test_run_seeds_stable_and_distinct():
@@ -233,7 +248,7 @@ def test_small_vocabulary_still_evaluates(synthetic_corpus):
                          ClassifierSpec(algorithm="nb_gaussian"), runs=1,
                          vocab_size=25)
     assert len(res.runs) == 1
-    for score in res.runs[0].per_class.values():
+    for score in res.runs[0].values():
         assert 0.0 <= score <= 1.0
 
 
@@ -297,10 +312,10 @@ def test_run_grid_over_any_model_list_matches_per_cell_experiments(
 
 def test_run_grid_keeps_one_model_matrix_pair_alive(monkeypatch):
     # Calls come in (train, test) pairs, one pair per run; every vector
-    # model of the run is derived from that pair. Each half's matrices are
+    # model of the run is derived from that pair. Each half's rows are
     # counted into one grid-owned buffer, replaced only when a run's
     # vocabulary is larger than every earlier run's. When a pair starts,
-    # every matrix and trained classifier of an earlier run, and the rows a
+    # the rows and trained classifiers of an earlier run, and the rows a
     # trained k-NN keeps, must already be gone.
     corpus = make_synthetic_corpus(docs_per_class=6)
     specs = [ClassifierSpec(algorithm=algo) for algo in ("knn",
@@ -312,6 +327,8 @@ def test_run_grid_keeps_one_model_matrix_pair_alive(monkeypatch):
     alive_counts = []
     buffers = [None, None]
     reused = []
+    pair = [None, None]
+    derived = []
 
     def track(*objs):
         run = (len(calls) - 1) // 2
@@ -328,15 +345,16 @@ def test_run_grid_keeps_one_model_matrix_pair_alive(monkeypatch):
             assert out is buffers[half]
             reused.append(run)
         buffers[half] = out
-        matrix = build_matrix(docs, vocab, model, out=out)
-        assert np.shares_memory(matrix.rows, out)
-        track(matrix, matrix.rows)
-        return matrix
+        rows = build_matrix(docs, vocab, model, out=out)
+        assert np.shares_memory(rows, out)
+        track(rows)
+        pair[half] = weakref.ref(rows)
+        return rows
 
-    def tracked_derive(matrix, docs, model):
-        derived = derive_matrix(matrix, docs, model)
-        track(derived, derived.rows)
-        return derived
+    def tracked_derive(rows, docs, source, model):
+        assert any(rows is ref() for ref in pair)
+        derived.append(model)
+        derive_matrix(rows, docs, source, model)
 
     def tracked_train(spec, data, seed=0):
         model = train(spec, data, seed=seed)
@@ -352,9 +370,10 @@ def test_run_grid_keeps_one_model_matrix_pair_alive(monkeypatch):
     assert calls == [176, 176, 178, 178, 175, 175]
     assert reused == [2, 2]
     assert not np.shares_memory(buffers[0], buffers[1])
-    # The pair's own train matrix and its rows, while its test matrix is
-    # built.
-    assert alive_counts == [0, 2] * 3
+    # The pair's own train rows, while its test rows are built.
+    assert alive_counts == [0, 1] * 3
+    # Each later model turns the pair's own two arrays into itself.
+    assert derived == ["norm_freq", "norm_freq", "bernoulli", "bernoulli"] * 3
 
 
 def grid_fit_digests(monkeypatch):

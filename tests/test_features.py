@@ -35,7 +35,6 @@ def test_vocabulary_top_k_by_frequency():
     docs = [doc("x", ["a", "a", "a", "b", "b", "c"])]
     vocab = build_vocabulary(docs, 2)
     assert vocab.tokens == ("a", "b")
-    assert vocab.counts == {"a": 3, "b": 2}
 
 
 def test_vocabulary_tie_breaks_lexicographically():
@@ -70,11 +69,11 @@ def test_vocabulary_permutation_invariant():
 
 def one_row(tokens, vocab, model):
     """The row of a one-document matrix."""
-    return build_matrix([doc("x", tokens)], vocab, model).rows[0]
+    return build_matrix([doc("x", tokens)], vocab, model)[0]
 
 
 def test_vectorize_three_models():
-    vocab = Vocabulary(tokens=("a", "b"), counts={"a": 2, "b": 1})
+    vocab = Vocabulary(tokens=("a", "b"))
     tokens = ["a", "a", "c"]
     assert one_row(tokens, vocab, "bernoulli").tolist() == [1.0, 0.0]
     assert one_row(tokens, vocab, "plain_freq").tolist() == [2.0, 0.0]
@@ -83,40 +82,37 @@ def test_vectorize_three_models():
 
 
 def test_vectorize_empty_document_norm_freq():
-    vocab = Vocabulary(tokens=("a",), counts={"a": 1})
+    vocab = Vocabulary(tokens=("a",))
     assert one_row([], vocab, "norm_freq").tolist() == [0.0]
 
 
 def test_vectorize_rejects_unknown_model():
-    vocab = Vocabulary(tokens=("a",), counts={"a": 1})
+    vocab = Vocabulary(tokens=("a",))
     with pytest.raises(ValueError):
         one_row(["a"], vocab, "tfidf")
 
 
 def test_vectorize_rejects_empty_vocab():
     with pytest.raises(ValueError):
-        one_row(["a"], Vocabulary(tokens=(), counts={}), "bernoulli")
+        one_row(["a"], Vocabulary(tokens=()), "bernoulli")
 
 
-def test_build_matrix_shapes_and_labels():
+def test_build_matrix_has_one_presence_row_per_document():
     docs = [doc("x", ["a"], id="1"), doc("y", ["b"], id="2"),
             doc("x", ["a", "b"], id="3")]
     vocab = build_vocabulary(docs, 10)
-    matrix = build_matrix(docs, vocab, "bernoulli")
-    assert matrix.rows.shape == (3, 2)
-    assert matrix.labels == ("x", "y", "x")
-    assert set(np.unique(matrix.rows)) <= {0.0, 1.0}
+    rows = build_matrix(docs, vocab, "bernoulli")
+    assert rows.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
 
 
 def test_build_matrix_zero_row_for_out_of_vocab_doc():
-    vocab = Vocabulary(tokens=("a", "b"), counts={"a": 1, "b": 1})
+    vocab = Vocabulary(tokens=("a", "b"))
     docs = [doc("x", ["zzz"], id="1")]
-    matrix = build_matrix(docs, vocab, "plain_freq")
-    assert matrix.rows.tolist() == [[0.0, 0.0]]
+    assert build_matrix(docs, vocab, "plain_freq").tolist() == [[0.0, 0.0]]
 
 
 def test_build_matrix_empty_docs():
-    vocab = Vocabulary(tokens=("a",), counts={"a": 1})
+    vocab = Vocabulary(tokens=("a",))
     with pytest.raises(EmptyCorpus):
         build_matrix([], vocab, "bernoulli")
 
@@ -189,7 +185,7 @@ def per_document_vocabulary(docs, k):
     for d in docs:
         counter.update(d.tokens)
     top = sorted(counter.items(), key=lambda item: (-item[1], item[0]))[:k]
-    return Vocabulary(tokens=tuple(tok for tok, _ in top), counts=dict(top))
+    return Vocabulary(tokens=tuple(tok for tok, _ in top))
 
 
 @given(st.lists(_doc_tokens, min_size=1, max_size=6).filter(
@@ -203,12 +199,12 @@ def test_build_matrix_rows_are_the_document_vectors(all_tokens, k):
     seqs = list(all_tokens) + [[], ["zz", "zz"], [vocab.tokens[0]] * 3]
     docs = [doc("x", toks, id=str(i)) for i, toks in enumerate(seqs)]
     for model in VECTOR_MODELS:
-        rows = build_matrix(docs, vocab, model).rows
+        rows = build_matrix(docs, vocab, model)
         assert rows.tobytes() == per_row_matrix(seqs, vocab, model).tobytes()
         # Counted into a used buffer with spare values, the rows are its
         # first values and the spare ones are left alone.
         out = np.full(rows.size + 3, np.nan)
-        into = build_matrix(docs, vocab, model, out=out).rows
+        into = build_matrix(docs, vocab, model, out=out)
         assert np.shares_memory(into, out)
         assert into.tobytes() == rows.tobytes()
         assert np.isnan(out[rows.size:]).all()
@@ -281,13 +277,10 @@ def test_three_models_share_one_lookup_pass(interns):
     docs = InternedDocuments.of(_memo_docs())
     vocab = build_vocabulary(docs, 3)
     matrix = build_matrix(docs, vocab, DERIVE_ORDER[0])
-    rows = {matrix.model: matrix.rows.copy()}
-    for model in DERIVE_ORDER[1:]:
-        derived = derive_matrix(matrix, docs, model)
-        assert derived.rows is matrix.rows
-        assert (derived.model, derived.labels) == (model, matrix.labels)
-        rows[model] = derived.rows.copy()
-        matrix = derived
+    rows = {DERIVE_ORDER[0]: matrix.copy()}
+    for source, model in zip(DERIVE_ORDER, DERIVE_ORDER[1:]):
+        assert derive_matrix(matrix, docs, source, model) is None
+        rows[model] = matrix.copy()
     assert len(interns) == 1
     seqs = [d.tokens for d in docs]
     for model in VECTOR_MODELS:
@@ -299,12 +292,13 @@ def test_derive_matrix_only_moves_forward():
     docs = InternedDocuments.of(_memo_docs())
     vocab = build_vocabulary(docs, 3)
     for i, start in enumerate(DERIVE_ORDER):
-        for model in DERIVE_ORDER[:i + 1] + ("tfidf",):
+        for source, model in [(start, m) for m in DERIVE_ORDER[:i + 1]] \
+                + [(start, "tfidf"), ("tfidf", start)]:
             matrix = build_matrix(docs, vocab, start)
-            before = matrix.rows.tobytes()
+            before = matrix.tobytes()
             with pytest.raises(ValueError):
-                derive_matrix(matrix, docs, model)
-            assert matrix.rows.tobytes() == before
+                derive_matrix(matrix, docs, source, model)
+            assert matrix.tobytes() == before
 
 
 def test_same_length_list_of_other_tuples_is_looked_up_again(interns):
@@ -317,7 +311,7 @@ def test_same_length_list_of_other_tuples_is_looked_up_again(interns):
     others = [docs[0]] + [doc("x", list(d.tokens), id=d.id)
                           for d in docs[1:3]] \
         + [doc("x", ["a"], id="8"), doc("x", ["c", "c"], id="9")]
-    rows = build_matrix(others, vocab, "plain_freq").rows
+    rows = build_matrix(others, vocab, "plain_freq")
     assert len(interns) == 3
     assert rows.tobytes() == per_row_matrix(
         [d.tokens for d in others], vocab, "plain_freq").tobytes()
@@ -334,7 +328,7 @@ def test_vocabulary_holds_no_state_between_calls():
     for i in range(len(docs)):
         build_matrix(docs[i:], vocab, "bernoulli")
         build_matrix(InternedDocuments.of(docs[i:]), vocab, "norm_freq")
-    assert [f.name for f in dataclasses.fields(vocab)] == ["tokens", "counts"]
+    assert [f.name for f in dataclasses.fields(vocab)] == ["tokens"]
     assert vars(vocab) == state
     assert vocab == fresh
     assert repr(vocab) == text == repr(fresh)
@@ -356,10 +350,8 @@ def test_interned_half_gives_the_plain_list_vocabulary_and_rows():
     assert repr(vocab) == repr(build_vocabulary(plain, 3))
     assert vocab.tokens == ("a", "b")
     for model in VECTOR_MODELS:
-        matrix = build_matrix(half, vocab, model)
-        assert matrix.rows.tobytes() \
-            == build_matrix(plain, vocab, model).rows.tobytes()
-        assert matrix.labels == tuple(d.label for d in plain)
+        assert build_matrix(half, vocab, model).tobytes() \
+            == build_matrix(plain, vocab, model).tobytes()
     assert len(whole.select([])) == 0
 
 
@@ -415,10 +407,12 @@ def test_derived_and_interned_rows_match_build_matrix(half_tokens,
     for first_at, first in enumerate(DERIVE_ORDER):
         for interned, listed in ((half, plain), (every, docs)):
             matrix = build_matrix(interned, vocab, first)
-            assert matrix.rows.tobytes() == build_matrix(
-                listed, vocab, first).rows.tobytes() == per_row_matrix(
+            assert matrix.tobytes() == build_matrix(
+                listed, vocab, first).tobytes() == per_row_matrix(
                     [d.tokens for d in listed], vocab, first).tobytes()
+            source = first
             for model in DERIVE_ORDER[first_at + 1:]:
-                matrix = derive_matrix(matrix, interned, model)
-                assert matrix.rows.tobytes() == build_matrix(
-                    listed, vocab, model).rows.tobytes()
+                derive_matrix(matrix, interned, source, model)
+                source = model
+                assert matrix.tobytes() == build_matrix(
+                    listed, vocab, model).tobytes()

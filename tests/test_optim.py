@@ -80,17 +80,18 @@ def test_lbfgs_nan_gradient_at_start():
         lbfgs_minimize(bad, [1.0])
 
 
-def test_lbfgs_line_search_failure_returns_best_point():
+def test_lbfgs_line_search_failure_at_start_is_numerical_failure():
     # Linear objective: sufficient decrease always holds, curvature never
-    # does, so the first search exhausts its budget and the start point is
-    # returned unconverged.
+    # does, so the first search exhausts its budget. Returning the start
+    # point would pass it off as a fit; only a gradient within tolerance
+    # makes it one.
     def linear(x):
         return float(x[0]), np.ones_like(x)
 
-    res = lbfgs_minimize(linear, [5.0])
-    assert not res.converged
-    assert res.iterations == 0
-    assert res.fun == 5.0
+    with pytest.raises(NumericalFailure, match="no step from the starting"):
+        lbfgs_minimize(linear, [5.0])
+    res = lbfgs_minimize(linear, [5.0], tolerance=1.0)
+    assert res.converged and res.iterations == 0
     np.testing.assert_array_equal(res.x, [5.0])
 
 
