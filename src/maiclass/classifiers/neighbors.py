@@ -33,9 +33,10 @@ class KNeighbors:
         query row."""
         k = min(N_NEIGHBORS, self.train_x.shape[0])
         out = np.empty((X.shape[0], k), dtype=np.intp)
+        sq = np.empty_like(self.train_x)  # Each query's squared differences.
         for r in range(X.shape[0]):
-            diff = self.train_x - X[r]
-            d2 = np.sum(diff * diff, axis=1)
+            np.subtract(self.train_x, X[r], out=sq)
+            d2 = np.multiply(sq, sq, out=sq).sum(axis=1)
             # A stable sort keeps equal distances in training-row order.
             out[r] = np.argsort(d2, kind="stable")[:k]
         return out

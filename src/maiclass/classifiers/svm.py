@@ -7,6 +7,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..errors import NumericalFailure
 from ..optim import smo_solve
 from .kernels import KernelParams, kernel_matrix
 
@@ -61,6 +62,9 @@ class KernelSvm:
                 rows = X[idx]
                 y_pm = np.where(y[idx] == a, 1.0, -1.0)
                 K = kernel_matrix(self.params, rows)
+                if K.min() == K.max():  # Underflowed, saturated, equal rows.
+                    raise NumericalFailure(
+                        f"kernel matrix of classes {a} and {b} is constant")
                 sol = smo_solve(K, y_pm, c=C, tolerance=TOLERANCE,
                                 max_iterations=MAX_ITERATIONS)
                 sv = np.asarray(sol.support_indices, dtype=np.intp)

@@ -6,15 +6,17 @@ handles box-constrained SVM duals with maximal-violating-pair working sets.
 
 All three stop the same way: not converging is a result, never an
 exception. A solver that runs out of iterations, or an L-BFGS line search
-that finds no Wolfe step, returns the best iterate so far, its iteration
-count and ``converged=False``. Only bad input raises: an invalid argument,
-a non-finite value the solver cannot step past, or, for L-BFGS, no Wolfe
-step at all from an unconverged ``x0`` (:class:`NumericalFailure`).
+that finds no Wolfe step, returns the best iterate so far (for L-BFGS, its
+last accepted one), its iteration count and ``converged=False``. Only bad
+input raises: an invalid argument, a non-finite value the solver cannot
+step past, or, for L-BFGS, no Wolfe step at all from an unconverged ``x0``
+(:class:`NumericalFailure`).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Tuple
 
@@ -87,41 +89,46 @@ def _quad_trial(a_lo, f_lo, d_lo, a_hi, f_hi):
 def _zoom(objective, x, d, f0, g0d, a_lo, f_lo, d_lo, a_hi, f_hi):
     """Nocedal-Wright zoom stage; shrinks [a_lo, a_hi] to a Wolfe point.
 
-    Returns ``(step, f, g)``, or ``None`` when no Wolfe point is found.
+    Returns the Wolfe point with its value and gradient, or ``None``.
     """
     for _ in range(_ZOOM_ITERATIONS):
         trial = _quad_trial(a_lo, f_lo, d_lo, a_hi, f_hi)
         if trial is None:
             trial = 0.5 * (a_lo + a_hi)
-        f_t, g_t = _call_oracle(objective, x + trial * d)
+        x_t = x + trial * d
+        f_t, g_t = _call_oracle(objective, x_t)
         d_t = float(g_t @ d) if np.all(np.isfinite(g_t)) else math.nan
         if not math.isfinite(f_t) or f_t > f0 + _WOLFE_C1 * trial * g0d \
                 or f_t >= f_lo:
             a_hi, f_hi = trial, f_t
         else:
             if math.isfinite(d_t) and abs(d_t) <= -_WOLFE_C2 * g0d:
-                return trial, f_t, g_t
+                return x_t, f_t, g_t
             if math.isfinite(d_t) and d_t * (a_hi - a_lo) >= 0.0:
                 a_hi, f_hi = a_lo, f_lo
             a_lo, f_lo, d_lo = trial, f_t, d_t
+        del x_t  # Rejected: dropped before the next trial is formed.
         if abs(a_hi - a_lo) <= 1e-16 * max(1.0, abs(a_lo)):
             break
     return None
 
 
 def _line_search(objective, x, d, f0, g0d, a_init):
-    """Strong Wolfe search (c1=1e-4, c2=0.9); returns (step, f, g) or None."""
+    """Strong Wolfe search (c1=1e-4, c2=0.9); returns (x_new, f, g) or None."""
     a_prev, f_prev, d_prev = 0.0, f0, g0d
     a = a_init
     for it in range(_BRACKET_ITERATIONS):
-        f_a, g_a = _call_oracle(objective, x + a * d)
+        x_a = x + a * d
+        f_a, g_a = _call_oracle(objective, x_a)
         d_a = float(g_a @ d) if np.all(np.isfinite(g_a)) else math.nan
         if not math.isfinite(f_a) or f_a > f0 + _WOLFE_C1 * a * g0d \
                 or (it > 0 and f_a >= f_prev):
+            del x_a  # Rejected: dropped before the next trial is formed.
             return _zoom(objective, x, d, f0, g0d,
                          a_prev, f_prev, d_prev, a, f_a)
         if math.isfinite(d_a) and abs(d_a) <= -_WOLFE_C2 * g0d:
-            return a, f_a, g_a
+            return x_a, f_a, g_a
+        del x_a
         if math.isfinite(d_a) and d_a >= 0.0:
             return _zoom(objective, x, d, f0, g0d,
                          a, f_a, d_a, a_prev, f_prev)
@@ -138,79 +145,66 @@ def lbfgs_minimize(objective: Oracle, x0, max_iterations: int = 200,
     :class:`NumericalFailure` when the oracle is non-finite at ``x0``, or
     when no step from an unconverged ``x0`` satisfies the Wolfe conditions.
     Converges when the gradient 2-norm drops to ``tolerance``. When a later
-    step finds no Wolfe point, or the iteration budget runs out, the best
-    iterate so far is returned with ``converged=False``; ``iterations``
-    counts the accepted steps.
+    step finds no Wolfe point, or the iteration budget runs out, the last
+    accepted iterate is returned with ``converged=False``; ``iterations``
+    counts the accepted steps. Sufficient decrease makes no accepted step
+    raise ``f``, so the last iterate is also the lowest.
     """
     _check_budget(max_iterations, tolerance)
     x = _check_x0(x0)
     f, g = _call_oracle(objective, x)
     if not math.isfinite(f) or not np.all(np.isfinite(g)):
         raise NumericalFailure("objective not finite at the starting point")
-    best_x, best_f = x.copy(), f
-    s_hist: list = []
-    y_hist: list = []
-    rho_hist: list = []
+    # The last curvature pairs (s, y, 1 / s.y), oldest first.
+    history = deque(maxlen=_HISTORY_SIZE)
     gnorm = float(np.linalg.norm(g))
     converged = gnorm <= tolerance
     iterations = 0
     while iterations < max_iterations and not converged:
-        d = _two_loop(g, s_hist, y_hist, rho_hist)
+        d = _two_loop(g, history)
         g0d = float(g @ d)
         if not math.isfinite(g0d) or g0d >= 0.0:
             d = -g
             g0d = -float(g @ g)
-        a_init = 1.0 if s_hist else min(1.0, 1.0 / max(gnorm, 1.0))
+        a_init = 1.0 if history else min(1.0, 1.0 / max(gnorm, 1.0))
         step = _line_search(objective, x, d, f, g0d, a_init)
         if step is None and not iterations:
             raise NumericalFailure("line search found no step from the "
                                    f"starting point (|g| = {gnorm:.3g})")
         if step is None:
             break
-        a, f_new, g_new = step
-        x_new = x + a * d
+        x_new, f_new, g_new = step
         s = x_new - x
         yv = g_new - g
         sy = float(s @ yv)
         if sy > _CURVATURE_SKIP * float(np.linalg.norm(s)) \
                 * float(np.linalg.norm(yv)):
-            s_hist.append(s)
-            y_hist.append(yv)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > _HISTORY_SIZE:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
+            history.append((s, yv, 1.0 / sy))
         x, f, g = x_new, f_new, g_new
-        if f < best_f and np.all(np.isfinite(x)):
-            best_f = f
-            best_x = x.copy()
         gnorm = float(np.linalg.norm(g))
         converged = gnorm <= tolerance
         iterations += 1
-    return OptResult(x=best_x, fun=best_f, iterations=iterations,
+    return OptResult(x=x, fun=f, iterations=iterations,
                      converged=converged, grad_norm=gnorm)
 
 
-def _two_loop(g, s_hist, y_hist, rho_hist) -> np.ndarray:
+def _two_loop(g, history) -> np.ndarray:
     """Two-loop recursion for the L-BFGS descent direction."""
     q = -g
-    if not s_hist:
+    if not history:
         return q
     # Holds each a * yv and (a - b) * s before it is applied to q.
     term = np.empty_like(q)
     alphas = []
-    for s, yv, rho in zip(reversed(s_hist), reversed(y_hist),
-                          reversed(rho_hist)):
+    for s, yv, rho in reversed(history):
         a = rho * float(s @ q)
         alphas.append(a)
         np.multiply(yv, a, out=term)
         q -= term
-    s_last, y_last = s_hist[-1], y_hist[-1]
+    s_last, y_last, _ = history[-1]
     gamma = float(s_last @ y_last) / float(y_last @ y_last)
     q *= gamma
-    for (s, yv, rho), a in zip(zip(s_hist, y_hist, rho_hist),
-                               reversed(alphas)):
+    for (s, yv, rho), a in zip(history, reversed(alphas)):
         b = rho * float(yv @ q)
         np.multiply(s, a - b, out=term)
         q += term
@@ -308,6 +302,12 @@ def adam_minimize(gradient: Callable[[np.ndarray], np.ndarray], x0,
                      converged=converged, grad_norm=math.nan)
 
 
+def _index_sets(pos, alpha, c):
+    """SMO's I_up and I_low: where alpha can still move up, resp. down."""
+    return (np.where(pos, alpha < c, alpha > 0.0),
+            np.where(pos, alpha > 0.0, alpha < c))
+
+
 @dataclass(frozen=True)
 class DualSolution:
     """Solution of the box-constrained SVM dual."""
@@ -352,8 +352,7 @@ def smo_solve(kernel, labels: Sequence[float], c: float = 1.0,
     while iterations < max_iterations:
         # Maximal-violating-pair selection on the scaled gradient -y*G.
         yg = -y * grad
-        up = np.where(pos, alpha < c, alpha > 0.0)
-        low = np.where(pos, alpha > 0.0, alpha < c)
+        up, low = _index_sets(pos, alpha, c)
         if not up.any() or not low.any():
             converged = True
             break
@@ -428,18 +427,12 @@ def smo_solve(kernel, labels: Sequence[float], c: float = 1.0,
     if free.any():
         bias = float(np.mean(yg[free]))
     else:
-        up = np.where(pos, alpha < c, alpha > 0.0)
-        low = np.where(pos, alpha > 0.0, alpha < c)
+        # The midpoint of [lo, hi]'s finite ends, its one finite end, or 0.
+        up, low = _index_sets(pos, alpha, c)
         hi = float(np.max(yg[up])) if up.any() else math.nan
         lo = float(np.min(yg[low])) if low.any() else math.nan
-        if math.isfinite(hi) and math.isfinite(lo):
-            bias = (hi + lo) / 2.0
-        elif math.isfinite(hi):
-            bias = hi
-        elif math.isfinite(lo):
-            bias = lo
-        else:
-            bias = 0.0
+        ends = [v for v in (hi, lo) if math.isfinite(v)]
+        bias = (hi + lo) / 2.0 if len(ends) == 2 else ends[0] if ends else 0.0
     support = tuple(int(i) for i in np.nonzero(alpha > 0.0)[0])
     return DualSolution(alphas=alpha, bias=bias, support_indices=support,
                         converged=converged, iterations=iterations)

@@ -198,6 +198,20 @@ def test_logistic_that_cannot_step_from_zero_is_numerical_failure(scale):
               (SEPARABLE_ROWS * scale, SEPARABLE_LABELS))
 
 
+@pytest.mark.parametrize("algo, scale", [
+    ("svm_linear", 1e-300), ("svm_poly", 1e-300), ("svm_rbf", 1e-300),
+    ("svm_sigmoid", 1e-300), ("svm_poly", 1e-100), ("svm_rbf", 1e-100)])
+def test_constant_kernel_matrix_is_numerical_failure(algo, scale):
+    # Inner products, their cubes and the RBF distances underflow to 0, so
+    # every Gram entry is equal: 0 for the linear and polynomial kernels,
+    # tanh(0) = 0 for the sigmoid and exp(-0) = 1 for the RBF. A fit on it
+    # once predicted "b" everywhere without an error.
+    with pytest.raises(NumericalFailure, match=f"^{algo}: kernel matrix "
+                       "of classes 0 and 1 is constant"):
+        train(ClassifierSpec(algo),
+              (SEPARABLE_ROWS * scale, SEPARABLE_LABELS))
+
+
 def test_svm_poly_overflow_names_the_algorithm():
     # The cube of inner products near 1e200 overflows the polynomial
     # kernel; fitted on that inf, the model predicts one class everywhere.

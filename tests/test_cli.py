@@ -539,18 +539,20 @@ def test_small_corpus_eval_reports_domain_error(capsys, tmp_path):
 
 def test_eval_failure_names_the_failing_cell(capsys, tmp_path):
     # With one keyword, carried the same number of times by every document,
-    # Gaussian NB sees a constant feature under every vector model; the
-    # first model scored is plain_freq.
+    # every row is the same under every vector model. The first cell scored,
+    # (plain_freq, svm_linear), sees a constant kernel matrix; alone,
+    # Gaussian NB sees a constant feature.
     corpus = make_synthetic_corpus(docs_per_class=6)
     records = [dict(record, text=record["text"] + " common" * 12)
                for record in corpus_records(corpus)]
     path = write_jsonl(tmp_path / "common.jsonl", records)
-    code, out, err = run(capsys, "eval", str(path), "--vocab", "1",
-                         "--runs", "1")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: RunFailure: run 0 (plain_freq, nb_gaussian):"
-                          " NumericalFailure: ")
+    for algo, cell in (("all", "svm_linear"), ("nb_gaussian", "nb_gaussian")):
+        code, out, err = run(capsys, "eval", str(path), "--vocab", "1",
+                             "--runs", "1", "--algo", algo)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: RunFailure: run 0 (plain_freq, {cell}):"
+                              f" NumericalFailure: {cell}: ")
 
 
 def test_exit_codes_are_ints(capsys, corpus_jsonl_path):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maiclass.classifiers.mlp import init_glorot, mlp_loss_and_grad
 from maiclass.errors import NumericalFailure
@@ -98,7 +99,7 @@ def test_lbfgs_line_search_failure_at_start_is_numerical_failure():
 def test_lbfgs_line_search_failure_mid_run_returns_best_iterate():
     # The kink of |x|_1 at 0 defeats the Wolfe conditions once a coordinate
     # reaches it: the run stops after some accepted steps, unconverged, with
-    # the best iterate and its value.
+    # the last accepted (and lowest) iterate and its value.
     def kinked(x):
         return float(x @ x + np.abs(x).sum()), 2.0 * x + np.sign(x)
 
@@ -107,6 +108,51 @@ def test_lbfgs_line_search_failure_mid_run_returns_best_iterate():
     assert res.iterations == 11
     assert res.fun == kinked(res.x)[0]
     assert 0.0 < res.fun < 2e-3
+
+
+def _convex_problem(seed, n, logistic):
+    """A strictly convex oracle on R^n and a start point: an SPD quadratic,
+    or an L2-regularised logistic loss on random rows and +/-1 labels."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(size=n)
+    if logistic:
+        A = rng.normal(size=(3 * n, n))
+        y = rng.choice([-1.0, 1.0], size=3 * n)
+
+        def objective(x):
+            z = y * (A @ x)
+            # d/dz log(1 + e^-z) = -sigmoid(-z), written with tanh so that
+            # no exp can overflow.
+            slope = -0.5 * (1.0 - np.tanh(0.5 * z))
+            return (float(np.logaddexp(0.0, -z).sum() + 0.5 * x @ x),
+                    A.T @ (y * slope) + x)
+        return objective, x0
+    M = rng.normal(size=(n, n))
+    H = M @ M.T + np.eye(n)
+    b = rng.normal(size=n)
+    return (lambda x: (float(0.5 * x @ H @ x - b @ x), H @ x - b)), x0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.booleans())
+def test_lbfgs_each_accepted_step_lowers_f(seed, n, logistic):
+    # A budget of k iterations returns the k-th accepted iterate, so budgets
+    # 1..n+2 trace the run past the n or so steps it needs. The returned
+    # value is the oracle's at the returned point; it falls strictly with
+    # each accepted step and stays put once the run has stopped. A solver
+    # that kept an earlier iterate, or reported a value other than its
+    # point's, fails here.
+    objective, x0 = _convex_problem(seed, n, logistic)
+    last = lbfgs_minimize(objective, x0, max_iterations=0)
+    for k in range(1, n + 3):
+        res = lbfgs_minimize(objective, x0, max_iterations=k)
+        assert res.fun == objective(res.x)[0]
+        if res.iterations > last.iterations:
+            assert res.fun < last.fun
+        else:
+            assert res.iterations == last.iterations
+            assert res.fun == last.fun
+        last = res
 
 
 def test_lbfgs_gradient_descent_matches_on_first_step():
