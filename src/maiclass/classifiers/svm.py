@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import NumericalFailure
 from ..optim import smo_solve
-from .kernels import KernelParams, kernel_matrix
+from .kernels import kernel_matrix
 
 
 @dataclass
@@ -24,13 +24,10 @@ class _PairMachine:
 
 
 # The C-SVC every kernel uses: box bound, SMO stopping tolerance and
-# iteration budget, and the polynomial and sigmoid kernels' shape (gamma is
-# 1 / n_features, resolved per fit).
+# iteration budget (the kernels' fixed shape is in ``kernels``).
 C = 1.0
 TOLERANCE = 1e-3
 MAX_ITERATIONS = 200_000
-POLY_DEGREE = 3
-COEF0 = 0.0
 
 
 class KernelSvm:
@@ -40,19 +37,19 @@ class KernelSvm:
     machine treating a as +1. Prediction counts votes; vote ties fall back to
     summed decision values, then to the lowest class code.
 
-    Each fit resolves ``params``, the kernel the fitted machines use.
+    Each fit sets ``gamma`` to 1 / n_features, the kernel scale the fitted
+    machines use.
     """
 
     def __init__(self, kernel: str):
         self.kernel = kernel
-        self.params: Optional[KernelParams] = None
+        self.gamma: Optional[float] = None
         self.machines: List[_PairMachine] = []
         self.n_classes = 0
         self.converged = True
 
     def fit(self, X, y, n_classes, rng=None):
-        self.params = KernelParams(kind=self.kernel, gamma=1.0 / X.shape[1],
-                                   degree=POLY_DEGREE, coef0=COEF0)
+        self.gamma = 1.0 / X.shape[1]
         self.n_classes = n_classes
         self.machines = []
         self.converged = True
@@ -61,7 +58,7 @@ class KernelSvm:
                 idx = np.nonzero((y == a) | (y == b))[0]
                 rows = X[idx]
                 y_pm = np.where(y[idx] == a, 1.0, -1.0)
-                K = kernel_matrix(self.params, rows)
+                K = kernel_matrix(self.kernel, self.gamma, rows)
                 if K.min() == K.max():  # Underflowed, saturated, equal rows.
                     raise NumericalFailure(
                         f"kernel matrix of classes {a} and {b} is constant")
@@ -79,7 +76,7 @@ class KernelSvm:
         """Decision value of every pair machine; shape (n, n_pairs)."""
         out = np.empty((X.shape[0], len(self.machines)))
         for k, mach in enumerate(self.machines):
-            K = kernel_matrix(self.params, X, mach.sv_x)
+            K = kernel_matrix(self.kernel, self.gamma, X, mach.sv_x)
             out[:, k] = K @ mach.dual_coef + mach.bias
         return out
 

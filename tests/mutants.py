@@ -73,6 +73,14 @@ MUTANTS = [
     ("classifiers/svm.py", "if K.min() == K.max():", "if False:",
      ["tests/test_classifiers_common.py::"
       "test_constant_kernel_matrix_is_numerical_failure"]),
+    # The polynomial kernel's fixed degree.
+    ("classifiers/kernels.py", "POLY_DEGREE = 3", "POLY_DEGREE = 2",
+     ["tests/test_kernels.py::test_poly_hand_value"]),
+    # An unknown kernel kind falls through to the sigmoid.
+    ("classifiers/kernels.py",
+     "    if kind not in KERNEL_KINDS:\n"
+     '        raise ValueError(f"unknown kernel kind {kind!r}")\n', "",
+     ["tests/test_kernels.py::test_unknown_kernel_kind_rejected"]),
 ]
 
 
@@ -87,12 +95,8 @@ def apply(src: Path, path: str, snippet: str, replacement: str) -> None:
 
 def run_tests(src: Path, tests) -> int:
     env = dict(os.environ, PYTHONPATH=str(src))
-    # No terminal reporter: with one, Hypothesis formats a failing example
-    # through libcst where that is installed, and a DeprecationWarning
-    # there, an error under pyproject.toml, ends pytest with an internal
-    # error instead of "tests failed".
-    cmd = [sys.executable, "-m", "pytest", "-x", "-p", "no:terminal", "-p",
-           "no:cacheprovider", "--hypothesis-seed=0", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-p", "no:cacheprovider",
+           "--hypothesis-seed=0", *tests]
     return subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL).returncode
 

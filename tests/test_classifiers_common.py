@@ -157,20 +157,65 @@ SEPARABLE_ROWS = np.array([[0.0, 1.0], [0.2, 0.9], [1.0, 0.0], [0.9, 0.1]])
 SEPARABLE_LABELS = ["a", "a", "b", "b"]
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e100, 1e160, 1e300])
-@pytest.mark.parametrize("algo", ALGORITHMS)
-def test_overflowing_rows_predict_or_are_numerical_failure(algo, scale):
-    # Finite rows whose products or squares overflow. The suite turns any
-    # NumPy RuntimeWarning into an error, so none may escape either way.
+# Training on SEPARABLE_ROWS * scale and predicting the same rows gives
+# these labels, or NF: a NumericalFailure naming the algorithm. The header
+# holds each column's power of ten. "aabb" is right; every other label
+# string is the model's own behaviour:
+# - knn, up to 1e100, "aaaa": k = 5 exceeds the 4 rows, so every vote ties.
+# - nb_bernoulli, every scale, "aaba": binarisation makes [0.9, 0.1] look
+#   like [0.2, 0.9].
+# - svm_sigmoid from 1e4 to 1e100, "abbb": the tanh kernel saturates.
+# - nb_multinomial at 1e-50 and below, "aaaa": the smoothing outweighs the
+#   counts.
+# - mlp_adam at 1e-8 and below and mlp_lbfgs at 1e-8, "bbbb": the L2 term
+#   outweighs the tiny data term.
+# - logistic_regression at 1e-8 and below, "aaaa": the gradient at zero is
+#   already under the tolerance, so the fit stops at x0.
+# The one defect is svm_rbf at 1e100, which predicts "abbb" (see
+# _SCALE_DEFECTS).
+SCALE_TABLE = """\
+                     -300 -200 -100  -50   -8    0    4   50  100  160  300
+svm_linear             NF   NF aabb aabb aabb aabb aabb aabb aabb   NF   NF
+svm_poly               NF   NF   NF aabb aabb aabb aabb aabb   NF   NF   NF
+svm_rbf                NF   NF   NF   NF aabb aabb aabb aabb aabb   NF   NF
+svm_sigmoid            NF   NF aabb aabb aabb aabb abbb abbb abbb   NF   NF
+mlp_lbfgs              NF   NF   NF   NF bbbb aabb aabb aabb aabb   NF   NF
+mlp_adam             bbbb bbbb bbbb bbbb bbbb aabb aabb aabb aabb   NF   NF
+nb_bernoulli         aaba aaba aaba aaba aaba aaba aaba aaba aaba aaba aaba
+nb_multinomial       aaaa aaaa aaaa aaaa aabb aabb aabb aabb aabb aabb aabb
+nb_gaussian            NF   NF aabb aabb aabb aabb aabb aabb aabb   NF   NF
+logistic_regression  aaaa aaaa aaaa aaaa aaaa aabb aabb   NF   NF   NF   NF
+decision_tree        aabb aabb aabb aabb aabb aabb aabb aabb aabb aabb aabb
+knn                  aaaa aaaa aaaa aaaa aaaa aaaa aaaa aaaa aaaa   NF   NF
+""".splitlines()
+SCALES = [float(f"1e{power}") for power in SCALE_TABLE[0].split()]
+_SCALE_DEFECTS = {
+    ("svm_rbf", 1e100): pytest.mark.xfail(strict=True, reason=(
+        "the expanded RBF distance |a|^2 + |b|^2 - 2a.b cancels "
+        "(CHANGES.md FOUND, classifiers/kernels.py)")),
+}
+
+
+def _scale_cells():
+    rows = {line.split()[0]: line.split()[1:] for line in SCALE_TABLE[1:]}
+    for algo in ALGORITHMS:
+        for scale, want in zip(SCALES, rows[algo], strict=True):
+            yield pytest.param(algo, scale, want,
+                               marks=_SCALE_DEFECTS.get((algo, scale), ()))
+
+
+@pytest.mark.parametrize("algo, scale, want", _scale_cells())
+def test_row_scale_outcome(algo, scale, want):
+    # The suite turns any NumPy RuntimeWarning into an error, so none may
+    # escape either way.
     rows = SEPARABLE_ROWS * scale
     try:
-        got = predict(train(ClassifierSpec(algo), (rows, SEPARABLE_LABELS)),
-                      rows)
+        got = "".join(predict(
+            train(ClassifierSpec(algo), (rows, SEPARABLE_LABELS)), rows))
     except NumericalFailure as exc:
-        assert scale > 1.0
         assert str(exc).startswith(f"{algo}: ")
-        return
-    assert len(got) == 4 and set(got) <= {"a", "b"}
+        got = "NF"
+    assert got == want
 
 
 @pytest.mark.parametrize("scale", [1e4, 1e7, 1e50, 1e100])
@@ -225,6 +270,6 @@ def test_svm_refit_resolves_gamma_from_new_width():
     y = np.repeat([0, 1], 5)
     est = KernelSvm(kernel="rbf")
     est.fit(rng.normal(size=(10, 3)), y, 2)
-    assert est.params.gamma == 1.0 / 3.0
+    assert est.gamma == 1.0 / 3.0
     est.fit(rng.normal(size=(10, 5)), y, 2)
-    assert est.params.gamma == 0.2
+    assert est.gamma == 0.2

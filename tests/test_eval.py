@@ -468,3 +468,58 @@ def test_grid_invariant_under_order_preserving_relabel(rename_baseline,
     assert header == before_header
     assert rows == [row[:2] + [rename[row[2]]] + row[3:]
                     for row in before_rows]
+
+
+@st.composite
+def small_corpora(draw):
+    """2-4 classes of 2-7 pages over a 1-40 token vocabulary; a page may be
+    empty, and a later class may copy an earlier class's page."""
+    tokens = [f"tok{i}" for i in range(draw(st.integers(1, 40)))]
+    page = st.lists(st.sampled_from(tokens), max_size=12).map(" ".join)
+    docs = []
+    classes = tuple(f"class{c}" for c in range(draw(st.integers(2, 4))))
+    for label in classes:
+        earlier = [doc.raw_text for doc in docs]
+        for i in range(draw(st.integers(2, 7))):
+            copied = earlier and draw(st.booleans())
+            text = draw(st.sampled_from(earlier) if copied else page)
+            docs.append(Document.from_raw(
+                id=f"{label}-{i}", network="twitter", language="en",
+                label=label, raw_text=text))
+    return Corpus(name="fuzz", documents=tuple(docs), classes=classes)
+
+
+@settings(max_examples=15, deadline=None)
+# Equal pages in both classes: the first SVM's kernel matrix is constant.
+@example(corpus=tiny_corpus({"a": 2, "b": 3}), runs=2, vocab_size=1,
+         master_seed=0)
+@given(corpus=small_corpora(), runs=st.integers(1, 2),
+       vocab_size=st.integers(1, 1000), master_seed=st.integers(0, 1000))
+def test_any_small_grid_scores_or_names_its_failure(corpus, runs, vocab_size,
+                                                    master_seed):
+    # Every F1 of the 36 cells is in [0, 1], or the grid ends as a
+    # RunFailure naming its run and, for a failure inside a classifier, its
+    # cell. The suite turns any NumPy RuntimeWarning into an error, and an
+    # error that is not a MaiclassError escapes run_grid as itself.
+    specs = [ClassifierSpec(algorithm=algo) for algo in ALGORITHMS]
+    try:
+        grid = run_grid(corpus, VECTOR_MODELS, specs, runs=runs,
+                        vocab_size=vocab_size, master_seed=master_seed)
+    except RunFailure as err:
+        assert 0 <= err.run < runs
+        # A classifier's failure starts with its algorithm id.
+        raised_by = [algo for algo in ALGORITHMS
+                     if str(err.cause).startswith(f"{algo}: ")]
+        where = ""
+        if raised_by:
+            assert err.algorithm == raised_by[0]
+            assert err.vector_model in VECTOR_MODELS
+            where = f" ({err.vector_model}, {err.algorithm}): "
+        assert str(err).startswith(f"run {err.run}{where}")
+        return
+    assert len(grid) == 3 * len(ALGORITHMS)
+    for result in grid:
+        assert len(result.runs) == runs
+        for scores in result.runs:
+            assert list(scores) == list(corpus.classes)
+            assert all(0.0 <= f1 <= 1.0 for f1 in scores.values())

@@ -3,63 +3,55 @@
 import numpy as np
 import pytest
 
-from maiclass.classifiers.kernels import (
-    KERNEL_KINDS,
-    KernelParams,
-    kernel_matrix,
-)
+from maiclass.classifiers.kernels import KERNEL_KINDS, kernel_matrix
+from maiclass.classifiers.svm import KernelSvm
 from maiclass.errors import DimensionMismatch
 
 
-def pointwise_kernel(params, x, y):
-    """k(x, y) for two vectors, straight from each family's formula."""
-    if params.kind == "linear":
+def pointwise_kernel(kind, gamma, x, y):
+    """k(x, y) for two vectors, straight from each family's formula with
+    the paper's degree 3 and offset 0."""
+    if kind == "linear":
         return float(x @ y)
-    if params.kind == "poly":
-        return float((params.gamma * (x @ y) + params.coef0) ** params.degree)
-    if params.kind == "rbf":
+    if kind == "poly":
+        return float((gamma * (x @ y)) ** 3)
+    if kind == "rbf":
         diff = x - y
-        return float(np.exp(-params.gamma * (diff @ diff)))
-    return float(np.tanh(params.gamma * (x @ y) + params.coef0))
+        return float(np.exp(-gamma * (diff @ diff)))
+    return float(np.tanh(gamma * (x @ y)))
 
 
 def test_linear_dot_product():
-    params = KernelParams(kind="linear", gamma=1.0)
-    assert kernel_matrix(params, [[1.0, 2.0]], [[3.0, 4.0]])[0, 0] == 11.0
+    K = kernel_matrix("linear", 1.0, [[1.0, 2.0]], [[3.0, 4.0]])
+    assert K[0, 0] == 11.0
 
 
 def test_rbf_at_identical_points():
-    params = KernelParams(kind="rbf", gamma=0.37)
     x = np.array([[2.0, -5.0, 1.0]])
-    assert kernel_matrix(params, x, x)[0, 0] == 1.0
+    assert kernel_matrix("rbf", 0.37, x, x)[0, 0] == 1.0
 
 
 def test_rbf_hand_value():
-    params = KernelParams(kind="rbf", gamma=0.5)
-    assert np.isclose(kernel_matrix(params, [[0.0]], [[2.0]])[0, 0],
+    assert np.isclose(kernel_matrix("rbf", 0.5, [[0.0]], [[2.0]])[0, 0],
                       np.exp(-2.0))
 
 
 def test_poly_hand_value():
-    params = KernelParams(kind="poly", gamma=0.5, degree=3, coef0=0.0)
     x = np.array([[1.0, 0.0]])
-    assert kernel_matrix(params, x, x)[0, 0] == 0.125
+    assert kernel_matrix("poly", 0.5, x, x)[0, 0] == 0.125
 
 
 def test_sigmoid_hand_value():
-    params = KernelParams(kind="sigmoid", gamma=0.1, coef0=-0.2)
     assert np.isclose(
-        kernel_matrix(params, [[1.0, 2.0]], [[3.0, 4.0]])[0, 0],
-        np.tanh(0.1 * 11.0 - 0.2))
+        kernel_matrix("sigmoid", 0.1, [[1.0, 2.0]], [[3.0, 4.0]])[0, 0],
+        np.tanh(0.1 * 11.0))
 
 
-def test_kernel_params_validation():
-    with pytest.raises(ValueError):
-        KernelParams(kind="laplacian", gamma=1.0)
-    with pytest.raises(ValueError):
-        KernelParams(kind="rbf", gamma=0.0)
-    with pytest.raises(ValueError):
-        KernelParams(kind="poly", gamma=1.0, degree=0)
+def test_unknown_kernel_kind_rejected():
+    with pytest.raises(ValueError, match="unknown kernel kind 'laplacian'"):
+        kernel_matrix("laplacian", 1.0, [[1.0]])
+    with pytest.raises(ValueError, match="unknown kernel kind 'laplacian'"):
+        KernelSvm(kernel="laplacian").fit(np.eye(2), np.array([0, 1]), 2)
 
 
 def test_kernel_kinds_roster():
@@ -71,20 +63,18 @@ def test_matrix_agrees_with_pointwise_eval(kind):
     rng = np.random.default_rng(5)
     A = rng.normal(size=(6, 3))
     B = rng.normal(size=(4, 3))
-    params = KernelParams(kind=kind, gamma=0.8, degree=2, coef0=0.3)
-    M = kernel_matrix(params, A, B)
+    M = kernel_matrix(kind, 0.8, A, B)
     assert M.shape == (6, 4)
     for i in range(6):
         for j in range(4):
-            assert np.isclose(M[i, j], pointwise_kernel(params, A[i], B[j]),
+            assert np.isclose(M[i, j], pointwise_kernel(kind, 0.8, A[i], B[j]),
                               atol=1e-12)
 
 
 def test_symmetric_matrix_when_b_omitted():
     rng = np.random.default_rng(6)
     A = rng.normal(size=(5, 2))
-    params = KernelParams(kind="rbf", gamma=1.3)
-    M = kernel_matrix(params, A)
+    M = kernel_matrix("rbf", 1.3, A)
     assert M.shape == (5, 5)
     assert np.allclose(M, M.T)
     assert np.allclose(np.diag(M), 1.0)
@@ -92,8 +82,7 @@ def test_symmetric_matrix_when_b_omitted():
 
 
 def test_dimension_mismatch():
-    params = KernelParams(kind="linear", gamma=1.0)
     with pytest.raises(DimensionMismatch):
-        kernel_matrix(params, np.zeros((1, 2)), np.zeros((1, 3)))
+        kernel_matrix("linear", 1.0, np.zeros((1, 2)), np.zeros((1, 3)))
     with pytest.raises(DimensionMismatch):
-        kernel_matrix(params, np.zeros((2, 2)), np.zeros((2, 3)))
+        kernel_matrix("linear", 1.0, np.zeros((2, 2)), np.zeros((2, 3)))

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from maiclass.classifiers import ClassifierSpec, predict, train
-from maiclass.classifiers.kernels import KernelParams, kernel_matrix
+from maiclass.classifiers.kernels import kernel_matrix
 from maiclass.classifiers.svm import KernelSvm, _vote_winners
 
 
@@ -44,7 +44,7 @@ def test_three_class_one_vs_one_machinery():
     y = np.repeat([0, 1, 2], 15)
     # Two features: gamma is 1/2.
     est = KernelSvm(kernel="rbf").fit(X, y, 3)
-    assert est.params.gamma == 0.5
+    assert est.gamma == 0.5
     assert len(est.machines) == 3
     assert est.decision_pairs(X).shape == (45, 3)
     assert (est.predict_codes(X) == y).mean() == 1.0
@@ -53,9 +53,9 @@ def test_three_class_one_vs_one_machinery():
 def test_gamma_defaults_to_reciprocal_dimension():
     X = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
     est = KernelSvm(kernel="rbf").fit(X, np.array([0, 1]), 2)
-    assert est.params.gamma == 0.25
+    assert est.gamma == 0.25
     (mach,) = est.machines
-    K = kernel_matrix(KernelParams(kind="rbf", gamma=0.25), X, mach.sv_x)
+    K = kernel_matrix("rbf", 0.25, X, mach.sv_x)
     assert np.array_equal(est.decision_pairs(X)[:, 0],
                           K @ mach.dual_coef + mach.bias)
 
