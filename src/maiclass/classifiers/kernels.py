@@ -36,6 +36,13 @@ def kernel_matrix(kind: str, gamma: float, A,
     if kind == "rbf":
         sq_a = np.sum(Aa * Aa, axis=1)[:, None]
         sq_b = np.sum(Ba * Ba, axis=1)[None, :]
-        dist = np.maximum(sq_a + sq_b - 2.0 * inner, 0.0)
+        norms = sq_a + sq_b
+        dist = np.maximum(norms - 2.0 * inner, 0.0)
+        # |a|^2 + |b|^2 - 2a.b cancels where the distance is small next to
+        # the norms (a row against itself or a near copy, at any scale), so
+        # those entries are taken again from the difference itself.
+        ia, ib = np.nonzero(dist <= 1e-6 * norms)
+        diff = Aa[ia] - Ba[ib]
+        dist[ia, ib] = np.einsum("ij,ij->i", diff, diff)
         return np.exp(-gamma * dist)
     return np.tanh(gamma * inner + COEF0)

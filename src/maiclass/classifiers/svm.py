@@ -64,7 +64,7 @@ class KernelSvm:
                         f"kernel matrix of classes {a} and {b} is constant")
                 sol = smo_solve(K, y_pm, c=C, tolerance=TOLERANCE,
                                 max_iterations=MAX_ITERATIONS)
-                sv = np.asarray(sol.support_indices, dtype=np.intp)
+                sv = np.flatnonzero(sol.alphas)
                 coef = (sol.alphas * y_pm)[sv]
                 self.machines.append(_PairMachine(
                     class_a=a, class_b=b, sv_x=rows[sv],

@@ -314,7 +314,6 @@ class DualSolution:
 
     alphas: np.ndarray = field(repr=False)
     bias: float
-    support_indices: Tuple[int, ...]
     converged: bool
     iterations: int
 
@@ -324,10 +323,10 @@ def smo_solve(kernel, labels: Sequence[float], c: float = 1.0,
               ) -> DualSolution:
     """Solve ``min 1/2 a'Qa - sum(a)`` s.t. ``0 <= a <= c``, ``sum(a*y) = 0``.
 
-    ``kernel`` is the Gram matrix of the training points, ``labels`` the
-    +/-1 targets. Uses maximal-violating-pair SMO; when the iteration budget
-    runs out the best iterate so far is returned with ``converged=False``
-    rather than raising.
+    ``kernel`` is the Gram matrix K of the training points, ``labels`` the
+    +/-1 targets y, and Q is (yy')*K. Uses maximal-violating-pair SMO; when
+    the iteration budget runs out the best iterate so far is returned with
+    ``converged=False`` rather than raising.
     """
     K = np.asarray(kernel, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -341,17 +340,16 @@ def smo_solve(kernel, labels: Sequence[float], c: float = 1.0,
         raise ValueError("c must be > 0")
     if tolerance <= 0:
         raise ValueError("tolerance must be > 0")
-    Q = (y[:, None] * y[None, :]) * K
-    n = Q.shape[0]
+    n = K.shape[0]
     alpha = np.zeros(n, dtype=np.float64)
-    # The dual gradient Q @ alpha - 1, kept up to date pair by pair.
-    grad = np.full(n, -1.0, dtype=np.float64)
+    # The scaled dual gradient -y*G, G = Q @ alpha - 1, kept up to date
+    # pair by pair; Q itself is never formed, as Q[i] = y[i]*y*K[i].
+    yg = y.copy()
     pos = y > 0.0
     converged = False
     iterations = 0
     while iterations < max_iterations:
         # Maximal-violating-pair selection on the scaled gradient -y*G.
-        yg = -y * grad
         up, low = _index_sets(pos, alpha, c)
         if not up.any() or not low.any():
             converged = True
@@ -364,15 +362,13 @@ def smo_solve(kernel, labels: Sequence[float], c: float = 1.0,
             converged = True
             break
 
-        Qi = Q[i]
-        Qj = Q[j]
+        quad = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        if quad <= 0.0:
+            quad = _TAU
         old_ai = float(alpha[i])
         old_aj = float(alpha[j])
         if y[i] != y[j]:
-            quad = Qi[i] + Qj[j] + 2.0 * Qi[j]
-            if quad <= 0.0:
-                quad = _TAU
-            delta = (-grad[i] - grad[j]) / quad
+            delta = y[i] * (yg[i] - yg[j]) / quad
             diff = old_ai - old_aj
             ai = old_ai + delta
             aj = old_aj + delta
@@ -391,10 +387,7 @@ def smo_solve(kernel, labels: Sequence[float], c: float = 1.0,
                     aj = c
                     ai = c + diff
         else:
-            quad = Qi[i] + Qj[j] - 2.0 * Qi[j]
-            if quad <= 0.0:
-                quad = _TAU
-            delta = (grad[i] - grad[j]) / quad
+            delta = y[i] * (yg[j] - yg[i]) / quad
             total = old_ai + old_aj
             ai = old_ai - delta
             aj = old_aj + delta
@@ -414,15 +407,14 @@ def smo_solve(kernel, labels: Sequence[float], c: float = 1.0,
                     aj = total
         alpha[i] = ai
         alpha[j] = aj
-        grad += (ai - old_ai) * Qi
-        grad += (aj - old_aj) * Qj
+        yg -= ((ai - old_ai) * y[i]) * K[i]
+        yg -= ((aj - old_aj) * y[j]) * K[j]
         iterations += 1
     # Snap coefficients sitting a rounding error away from the box bounds.
     # Alphas scale as 1/K, so the zero snap is relative to the largest one:
     # an absolute one would drop every support vector of a large-valued Gram.
     alpha[alpha < 1e-12 * alpha.max(initial=0.0)] = 0.0
     alpha[alpha > c - 1e-12 * c] = c
-    yg = -y * grad
     free = (alpha > 0.0) & (alpha < c)
     if free.any():
         bias = float(np.mean(yg[free]))
@@ -433,6 +425,5 @@ def smo_solve(kernel, labels: Sequence[float], c: float = 1.0,
         lo = float(np.min(yg[low])) if low.any() else math.nan
         ends = [v for v in (hi, lo) if math.isfinite(v)]
         bias = (hi + lo) / 2.0 if len(ends) == 2 else ends[0] if ends else 0.0
-    support = tuple(int(i) for i in np.nonzero(alpha > 0.0)[0])
-    return DualSolution(alphas=alpha, bias=bias, support_indices=support,
-                        converged=converged, iterations=iterations)
+    return DualSolution(alphas=alpha, bias=bias, converged=converged,
+                        iterations=iterations)

@@ -69,6 +69,15 @@ MUTANTS = [
      "    x, f = first if iterations else (x, f)\n"
      "    return OptResult(x=x, fun=f,",
      ["tests/test_optim.py::test_lbfgs_each_accepted_step_lowers_f"]),
+    # SMO: the pair's curvature K_ii + K_jj - 2 K_ij with the wrong sign.
+    ("optim.py", "K[i, i] + K[j, j] - 2.0 * K[i, j]",
+     "K[i, i] + K[j, j] + 2.0 * K[i, j]",
+     ["tests/test_smo.py::test_dual_objective_matches_grid_oracle",
+      "tests/test_smo.py::test_matches_the_q_based_reference_bit_for_bit"]),
+    # SMO: the scaled gradient -y*(Q @ 0 - 1) starts at -y instead of y.
+    ("optim.py", "yg = y.copy()", "yg = -y",
+     ["tests/test_smo.py::test_kkt_satisfied_on_random_problems",
+      "tests/test_smo.py::test_matches_the_q_based_reference_bit_for_bit"]),
     # SVM: a constant kernel matrix is fitted instead of rejected.
     ("classifiers/svm.py", "if K.min() == K.max():", "if False:",
      ["tests/test_classifiers_common.py::"

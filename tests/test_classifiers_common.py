@@ -171,8 +171,6 @@ SEPARABLE_LABELS = ["a", "a", "b", "b"]
 #   outweighs the tiny data term.
 # - logistic_regression at 1e-8 and below, "aaaa": the gradient at zero is
 #   already under the tolerance, so the fit stops at x0.
-# The one defect is svm_rbf at 1e100, which predicts "abbb" (see
-# _SCALE_DEFECTS).
 SCALE_TABLE = """\
                      -300 -200 -100  -50   -8    0    4   50  100  160  300
 svm_linear             NF   NF aabb aabb aabb aabb aabb aabb aabb   NF   NF
@@ -189,19 +187,13 @@ decision_tree        aabb aabb aabb aabb aabb aabb aabb aabb aabb aabb aabb
 knn                  aaaa aaaa aaaa aaaa aaaa aaaa aaaa aaaa aaaa   NF   NF
 """.splitlines()
 SCALES = [float(f"1e{power}") for power in SCALE_TABLE[0].split()]
-_SCALE_DEFECTS = {
-    ("svm_rbf", 1e100): pytest.mark.xfail(strict=True, reason=(
-        "the expanded RBF distance |a|^2 + |b|^2 - 2a.b cancels "
-        "(CHANGES.md FOUND, classifiers/kernels.py)")),
-}
 
 
 def _scale_cells():
     rows = {line.split()[0]: line.split()[1:] for line in SCALE_TABLE[1:]}
     for algo in ALGORITHMS:
         for scale, want in zip(SCALES, rows[algo], strict=True):
-            yield pytest.param(algo, scale, want,
-                               marks=_SCALE_DEFECTS.get((algo, scale), ()))
+            yield algo, scale, want
 
 
 @pytest.mark.parametrize("algo, scale, want", _scale_cells())

@@ -31,6 +31,18 @@ def test_rbf_at_identical_points():
     assert kernel_matrix("rbf", 0.37, x, x)[0, 0] == 1.0
 
 
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e4, 1e50, 1e100])
+def test_rbf_of_a_row_and_its_near_copy_at_any_scale(scale):
+    # |a|^2 + |b|^2 - 2a.b cancels for a row against itself or a near copy
+    # once the rows are large; every entry must still be exp(-g (a-b).(a-b)).
+    A = np.array([[0.2, 0.9], [0.2, 0.9 + 1e-9], [1.0, 0.0]]) * scale
+    M = kernel_matrix("rbf", 0.5, A)
+    for i in range(3):
+        for j in range(3):
+            want = pointwise_kernel("rbf", 0.5, A[i], A[j])
+            assert np.isclose(M[i, j], want, rtol=1e-12, atol=0.0)
+
+
 def test_rbf_hand_value():
     assert np.isclose(kernel_matrix("rbf", 0.5, [[0.0]], [[2.0]])[0, 0],
                       np.exp(-2.0))
