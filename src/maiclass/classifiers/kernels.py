@@ -41,7 +41,11 @@ def kernel_matrix(kind: str, gamma: float, A,
         # |a|^2 + |b|^2 - 2a.b cancels where the distance is small next to
         # the norms (a row against itself or a near copy, at any scale), so
         # those entries are taken again from the difference itself.
-        ia, ib = np.nonzero(dist <= 1e-6 * norms)
+        flagged = dist <= 1e-6 * norms
+        if B is None:  # A row's difference from itself is exactly zero.
+            np.fill_diagonal(dist, 0.0)
+            np.fill_diagonal(flagged, False)
+        ia, ib = np.nonzero(flagged)
         diff = Aa[ia] - Ba[ib]
         dist[ia, ib] = np.einsum("ij,ij->i", diff, diff)
         return np.exp(-gamma * dist)

@@ -4,13 +4,12 @@ All three are deterministic given their inputs. ``lbfgs_minimize`` and
 ``adam_minimize`` work on flat float64 parameter vectors; ``smo_solve``
 handles box-constrained SVM duals with maximal-violating-pair working sets.
 
-All three stop the same way: not converging is a result, never an
-exception. A solver that runs out of iterations, or an L-BFGS line search
-that finds no Wolfe step, returns the best iterate so far (for L-BFGS, its
-last accepted one), its iteration count and ``converged=False``. Only bad
-input raises: an invalid argument, a non-finite value the solver cannot
-step past, or, for L-BFGS, no Wolfe step at all from an unconverged ``x0``
-(:class:`NumericalFailure`).
+All three stop the same way and return their last iterate (for L-BFGS, its
+last accepted one): not converging is a result, never an exception. Out of
+iterations, or with no Wolfe step for L-BFGS, a solver returns it with its
+iteration count and ``converged=False``. Only bad input raises: an invalid
+argument, a non-finite value the solver cannot step past, or, for L-BFGS,
+no Wolfe step at all from an unconverged ``x0`` (:class:`NumericalFailure`).
 """
 
 from __future__ import annotations
@@ -246,13 +245,13 @@ def adam_minimize(gradient: Callable[[np.ndarray], np.ndarray], x0,
                   objective: Callable[[np.ndarray], float],
                   max_iterations: int = 200, tolerance: float = 1e-6,
                   learning_rate: float = 0.001) -> OptResult:
-    """Full-batch Adam with bias-corrected moments.
+    """Full-batch Adam (Kingma & Ba, Algorithm 1): returns its last iterate.
 
-    ``gradient(x)`` returns the gradient vector and ``objective(x)`` the
-    value; the best iterate seen (by objective value) is returned and
-    ``fun`` is its value. Stops early when the update-step 2-norm drops to
-    ``tolerance``. The very first update is bounded per-coordinate by
-    ``learning_rate``.
+    ``gradient(x)`` is called once per step, ``objective(x)`` at ``x0`` and
+    after every step; ``fun`` is the last value, and a non-finite value or
+    gradient raises :class:`NumericalFailure`. Stops early when the step's
+    2-norm drops to ``tolerance``; the first update, bias-corrected, is
+    bounded per-coordinate by ``learning_rate``.
     """
     _check_budget(max_iterations, tolerance)
     if learning_rate <= 0:
@@ -260,10 +259,7 @@ def adam_minimize(gradient: Callable[[np.ndarray], np.ndarray], x0,
     x = _check_x0(x0)
     m = np.zeros_like(x)
     v = np.zeros_like(x)
-    best_x = x.copy()
-    best_f = float(objective(x))
-    if not math.isfinite(best_f):
-        raise NumericalFailure("objective not finite at the starting point")
+    f = float(objective(x))
     # Each step works in two scratch buffers and updates m, v and x in
     # place, in the per-element order of
     #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
@@ -272,7 +268,7 @@ def adam_minimize(gradient: Callable[[np.ndarray], np.ndarray], x0,
     scratch = np.empty_like(x)
     converged = False
     t = 0
-    while t < max_iterations:
+    while math.isfinite(f) and t < max_iterations and not converged:
         t += 1
         g = np.asarray(gradient(x), dtype=np.float64)
         if not np.all(np.isfinite(g)):
@@ -292,13 +288,10 @@ def adam_minimize(gradient: Callable[[np.ndarray], np.ndarray], x0,
         step /= scratch
         x -= step
         f = float(objective(x))
-        if math.isfinite(f) and f < best_f:
-            best_f = f
-            np.copyto(best_x, x)
-        if float(np.linalg.norm(step)) <= tolerance:
-            converged = True
-            break
-    return OptResult(x=best_x, fun=best_f, iterations=t,
+        converged = float(np.linalg.norm(step)) <= tolerance
+    if not math.isfinite(f):
+        raise NumericalFailure(f"non-finite objective at iteration {t}")
+    return OptResult(x=x, fun=f, iterations=t,
                      converged=converged, grad_norm=math.nan)
 
 
@@ -325,7 +318,7 @@ def smo_solve(kernel, labels: Sequence[float], c: float = 1.0,
 
     ``kernel`` is the Gram matrix K of the training points, ``labels`` the
     +/-1 targets y, and Q is (yy')*K. Uses maximal-violating-pair SMO; when
-    the iteration budget runs out the best iterate so far is returned with
+    the iteration budget runs out the last iterate is returned with
     ``converged=False`` rather than raising.
     """
     K = np.asarray(kernel, dtype=np.float64)

@@ -69,6 +69,10 @@ MUTANTS = [
      "    x, f = first if iterations else (x, f)\n"
      "    return OptResult(x=x, fun=f,",
      ["tests/test_optim.py::test_lbfgs_each_accepted_step_lowers_f"]),
+    # Adam reports the objective at x0 instead of at its last iterate.
+    ("optim.py", "        f = float(objective(x))\n",
+     "        float(objective(x))\n",
+     ["tests/test_optim.py::test_adam_returns_its_last_iterate"]),
     # SMO: the pair's curvature K_ii + K_jj - 2 K_ij with the wrong sign.
     ("optim.py", "K[i, i] + K[j, j] - 2.0 * K[i, j]",
      "K[i, i] + K[j, j] + 2.0 * K[i, j]",
@@ -85,6 +89,11 @@ MUTANTS = [
     # The polynomial kernel's fixed degree.
     ("classifiers/kernels.py", "POLY_DEGREE = 3", "POLY_DEGREE = 2",
      ["tests/test_kernels.py::test_poly_hand_value"]),
+    # A self-Gram's RBF diagonal distance is not exactly zero.
+    ("classifiers/kernels.py", "np.fill_diagonal(dist, 0.0)",
+     "np.fill_diagonal(dist, 1e-12)",
+     ["tests/test_kernels.py::"
+      "test_rbf_of_a_row_and_its_near_copy_at_any_scale"]),
     # An unknown kernel kind falls through to the sigmoid.
     ("classifiers/kernels.py",
      "    if kind not in KERNEL_KINDS:\n"

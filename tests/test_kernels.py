@@ -41,6 +41,8 @@ def test_rbf_of_a_row_and_its_near_copy_at_any_scale(scale):
         for j in range(3):
             want = pointwise_kernel("rbf", 0.5, A[i], A[j])
             assert np.isclose(M[i, j], want, rtol=1e-12, atol=0.0)
+    # A row's distance to itself is exactly 0.
+    assert np.all(np.diag(M) == 1.0)
 
 
 def test_rbf_hand_value():

@@ -1,5 +1,7 @@
 """MLP loss/gradient correctness and end-to-end training checks."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,45 @@ def test_adam_fit_runs_the_network_once_per_step(monkeypatch):
     est.fit(X, y, 3, rng=np.random.default_rng(2))
     assert len(passes) == steps + 1
     assert np.array_equal(est.theta, reference.x)
+
+
+@pytest.mark.parametrize("steps, tolerance", [(0, 0.0), (15, 0.0),
+                                              (200, 0.05)],
+                         ids=["zero-iterations", "capped", "early-stop"])
+def test_adam_fit_calls_objective_once_more_than_gradient(monkeypatch, steps,
+                                                          tolerance):
+    # The benchmark binds adam_minimize's arguments by name and counts the
+    # calls of each callback: the objective at x0 and after every step,
+    # the gradient once per step.
+    signature = inspect.signature(adam_minimize)
+    assert list(signature.parameters)[:3] == ["gradient", "x0", "objective"]
+    fits = []
+
+    def counting(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        counts = {"gradient": 0, "objective": 0}
+        for name in counts:
+            def counted(x, name=name, callback=bound.arguments[name]):
+                counts[name] += 1
+                return callback(x)
+            bound.arguments[name] = counted
+        res = adam_minimize(*bound.args, **bound.kwargs)
+        fits.append((res, counts))
+        return res
+
+    monkeypatch.setattr(mlp, "adam_minimize", counting)
+    for name, value in (("HIDDEN", 6), ("MAX_ITERATIONS", steps),
+                        ("LEARNING_RATE", 0.01), ("TOLERANCE", tolerance)):
+        monkeypatch.setattr(mlp, name, value)
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(12, 4))
+    MlpClassifier(solver="adam").fit(X, np.repeat([0, 1, 2], 4), 3,
+                                     rng=np.random.default_rng(2))
+    [(res, counts)] = fits
+    assert res.converged == (tolerance > 0.0)
+    assert res.iterations < steps if res.converged else res.iterations == steps
+    assert counts == {"gradient": res.iterations,
+                      "objective": res.iterations + 1}
 
 
 def reference_loss_and_grad(theta, X, Y, hidden, alpha):
