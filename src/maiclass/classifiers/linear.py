@@ -47,10 +47,6 @@ TOLERANCE = 1e-6
 class LogisticRegressionOVR:
     """One binary logistic model per class; the highest margin wins."""
 
-    def __init__(self):
-        self.weights = None
-        self.biases = None
-
     def fit(self, X, y, n_classes, rng=None):
         d = X.shape[1]
         self.weights = np.zeros((n_classes, d))

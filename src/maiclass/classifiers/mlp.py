@@ -112,10 +112,6 @@ class MlpClassifier:
         if solver not in ("lbfgs", "adam"):
             raise ValueError(f"unknown solver {solver!r}")
         self.solver = solver
-        self.theta = None
-        self.hidden = None
-        self.n_features = None
-        self.n_classes = None
 
     def fit(self, X, y, n_classes, rng=None):
         n, d = X.shape

@@ -34,11 +34,6 @@ class _NaiveBayes:
 class BernoulliNaiveBayes(_NaiveBayes):
     """Presence/absence model with Laplace-style smoothing."""
 
-    def __init__(self):
-        self.log_prior = None
-        self.log_theta = None
-        self.log_one_minus = None
-
     def _fit_classes(self, X, y, n_classes):
         Xb = X > 0
         theta = np.zeros((n_classes, Xb.shape[1]))
@@ -58,10 +53,6 @@ class BernoulliNaiveBayes(_NaiveBayes):
 
 class MultinomialNaiveBayes(_NaiveBayes):
     """Event-count model; works on raw or normalised frequencies."""
-
-    def __init__(self):
-        self.log_prior = None
-        self.log_theta = None
 
     def _fit_classes(self, X, y, n_classes):
         # fmin skips NaN, so a NaN cannot hide a negative entry.
@@ -89,11 +80,6 @@ class MultinomialNaiveBayes(_NaiveBayes):
 
 class GaussianNaiveBayes(_NaiveBayes):
     """Per-class diagonal Gaussians with variance smoothing."""
-
-    def __init__(self):
-        self.log_prior = None
-        self.means = None
-        self.variances = None
 
     def _fit_classes(self, X, y, n_classes):
         d = X.shape[1]

@@ -16,11 +16,6 @@ class KNeighbors:
     go to the lowest class code.
     """
 
-    def __init__(self):
-        self.train_x = None
-        self.train_y = None
-        self.n_classes = 0
-
     def fit(self, X, y, n_classes, rng=None):
         # Copies: the caller may reuse X's buffer for its next matrix.
         self.train_x = X.copy()

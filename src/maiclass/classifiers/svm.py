@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
 import numpy as np
 
@@ -43,10 +42,6 @@ class KernelSvm:
 
     def __init__(self, kernel: str):
         self.kernel = kernel
-        self.gamma: Optional[float] = None
-        self.machines: List[_PairMachine] = []
-        self.n_classes = 0
-        self.converged = True
 
     def fit(self, X, y, n_classes, rng=None):
         self.gamma = 1.0 / X.shape[1]

@@ -11,37 +11,32 @@ class DecisionTree:
     """Binary tree with axis-aligned threshold splits.
 
     Nodes are stored in parallel arrays in preorder (left subtree before
-    right). ``feature[i] == -1`` marks a leaf whose prediction is
-    ``leaf_class[i]``. A sample goes left when ``x[feature] <= threshold``.
+    right), so a split node's left child is node ``i + 1`` and its right
+    child ``right[i]``. ``feature[i] == -1`` marks a leaf whose prediction
+    is ``leaf_class[i]``. A sample goes left when ``x[feature] <= threshold``.
     No depth limit: growth stops when a node is pure or no split separates
     two distinct feature values. Zero-gain splits are still taken when a
     boundary exists, which lets patterns like XOR resolve on a later level.
     """
 
-    def __init__(self):
-        self.feature: list = []
-        self.threshold: list = []
-        self.left: list = []
-        self.right: list = []
-        self.leaf_class: list = []
-
     def fit(self, X, y, n_classes, rng=None):
         self.feature = []
         self.threshold = []
-        self.left = []
         self.right = []
         self.leaf_class = []
         # Work stack keeps growth iterative; pushing the right child first
-        # makes node ids come out in preorder.
-        stack = [(np.arange(X.shape[0]), -1, False)]
+        # makes node ids come out in preorder. An entry's parent awaits its
+        # ``right``; it is -1 for the root and for a left child.
+        stack = [(np.arange(X.shape[0]), -1)]
         while stack:
-            idx, parent, is_left = stack.pop()
-            node = self._new_node()
+            idx, parent = stack.pop()
+            node = len(self.feature)
             if parent >= 0:
-                if is_left:
-                    self.left[parent] = node
-                else:
-                    self.right[parent] = node
+                self.right[parent] = node
+            self.feature.append(-1)
+            self.threshold.append(0.0)
+            self.right.append(-1)
+            self.leaf_class.append(-1)
             counts = np.bincount(y[idx], minlength=n_classes)
             majority = int(np.argmax(counts))
             if counts[majority] == idx.shape[0]:
@@ -54,17 +49,9 @@ class DecisionTree:
             go_left = X[idx, feat] <= thr
             self.feature[node] = int(feat)
             self.threshold[node] = float(thr)
-            stack.append((idx[~go_left], node, False))
-            stack.append((idx[go_left], node, True))
+            stack.append((idx[~go_left], node))
+            stack.append((idx[go_left], -1))
         return self
-
-    def _new_node(self):
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.leaf_class.append(-1)
-        return len(self.feature) - 1
 
     def predict_codes(self, X):
         out = np.empty(X.shape[0], dtype=np.int64)
@@ -72,7 +59,7 @@ class DecisionTree:
             node = 0
             while self.feature[node] >= 0:
                 if X[r, self.feature[node]] <= self.threshold[node]:
-                    node = self.left[node]
+                    node += 1
                 else:
                     node = self.right[node]
             out[r] = self.leaf_class[node]
@@ -91,6 +78,6 @@ class DecisionTree:
             node, d = stack.pop()
             best = max(best, d)
             if self.feature[node] >= 0:
-                stack.append((self.left[node], d + 1))
+                stack.append((node + 1, d + 1))
                 stack.append((self.right[node], d + 1))
         return best

@@ -50,10 +50,11 @@ class OptResult:
     grad_norm: float
 
 
+# A float setting is checked as ``not value >= bound``, which a NaN fails.
 def _check_budget(max_iterations: int, tolerance: float) -> None:
     if max_iterations < 0:
         raise ValueError("max_iterations must be >= 0")
-    if tolerance < 0:
+    if not tolerance >= 0:
         raise ValueError("tolerance must be >= 0")
 
 
@@ -254,7 +255,7 @@ def adam_minimize(gradient: Callable[[np.ndarray], np.ndarray], x0,
     bounded per-coordinate by ``learning_rate``.
     """
     _check_budget(max_iterations, tolerance)
-    if learning_rate <= 0:
+    if not learning_rate > 0:
         raise ValueError("learning_rate must be > 0")
     x = _check_x0(x0)
     m = np.zeros_like(x)
@@ -329,10 +330,12 @@ def smo_solve(kernel, labels: Sequence[float], c: float = 1.0,
         raise LengthMismatch("labels length must match the kernel size")
     if not np.all(np.abs(y) == 1.0):
         raise ValueError("labels must be +1 or -1")
-    if c <= 0:
+    if not c > 0:
         raise ValueError("c must be > 0")
-    if tolerance <= 0:
+    if not tolerance > 0:
         raise ValueError("tolerance must be > 0")
+    if max_iterations < 0:
+        raise ValueError("max_iterations must be >= 0")
     n = K.shape[0]
     alpha = np.zeros(n, dtype=np.float64)
     # The scaled dual gradient -y*G, G = Q @ alpha - 1, kept up to date

@@ -82,10 +82,17 @@ MUTANTS = [
     ("optim.py", "yg = y.copy()", "yg = -y",
      ["tests/test_smo.py::test_kkt_satisfied_on_random_problems",
       "tests/test_smo.py::test_matches_the_q_based_reference_bit_for_bit"]),
+    # SMO: a NaN box bound passes the check and "converges" at all zeros.
+    ("optim.py", "if not c > 0:", "if c <= 0:",
+     ["tests/test_smo.py::test_validation_errors"]),
     # SVM: a constant kernel matrix is fitted instead of rejected.
     ("classifiers/svm.py", "if K.min() == K.max():", "if False:",
      ["tests/test_classifiers_common.py::"
       "test_constant_kernel_matrix_is_numerical_failure"]),
+    # Tree walk: a split node's left child is the next node in preorder.
+    ("classifiers/tree.py", "node += 1", "node += 2",
+     ["tests/test_tree.py::test_xor_resolves_through_zero_gain_split",
+      "tests/test_tree.py::test_trains_to_purity_on_random_data"]),
     # The polynomial kernel's fixed degree.
     ("classifiers/kernels.py", "POLY_DEGREE = 3", "POLY_DEGREE = 2",
      ["tests/test_kernels.py::test_poly_hand_value"]),

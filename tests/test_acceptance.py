@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from conftest import make_synthetic_corpus
-from maiclass.classifiers import ALGORITHMS, ClassifierSpec
+from maiclass.classifiers import ALGORITHMS, ClassifierSpec, mlp, svm
 from maiclass.classifiers.linear import logistic_loss_and_grad
 from maiclass.classifiers.mlp import mlp_loss_and_grad
 from maiclass.classifiers.neighbors import KNeighbors
+from maiclass.classifiers.tree import DecisionTree
 from maiclass.corpus import Corpus, Document
 from maiclass.evaluate import results_to_csv, run_experiment, run_grid
 from maiclass.features import VECTOR_MODELS
@@ -60,14 +61,34 @@ GOLDEN_GRID = REPO / "tests" / "data" / "grid-paper-seed0.csv"
 @pytest.fixture(scope="module")
 def synthetic_eval(synthetic_corpus):
     """The golden grid: three vector models x twelve classifiers x five
-    runs at seed 0, its results by (vector model, algorithm), timed."""
-    start = time.monotonic()
-    grid = run_grid(synthetic_corpus, VECTOR_MODELS,
-                    [ClassifierSpec(algorithm=algo) for algo in ALGORITHMS],
-                    runs=5, vocab_size=1000, master_seed=0)
-    elapsed = time.monotonic() - start
+    runs at seed 0, its results by (vector model, algorithm), timed, and
+    what its fits did: ``(iterations, converged)`` of every Adam and SMO
+    solve and ``(n_nodes, depth)`` of every tree."""
+    fits = {"adam": [], "smo": [], "tree": []}
+
+    def counted(kind, call, count):
+        def wrapper(*args, **kwargs):
+            out = call(*args, **kwargs)
+            fits[kind].append(count(out))
+            return out
+        return wrapper
+
+    def solved(res):
+        return res.iterations, res.converged
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mlp, "adam_minimize",
+                   counted("adam", mlp.adam_minimize, solved))
+        mp.setattr(svm, "smo_solve", counted("smo", svm.smo_solve, solved))
+        mp.setattr(DecisionTree, "fit", counted(
+            "tree", DecisionTree.fit, lambda tree: (tree.n_nodes, tree.depth)))
+        start = time.monotonic()
+        grid = run_grid(synthetic_corpus, VECTOR_MODELS,
+                        [ClassifierSpec(algo) for algo in ALGORITHMS],
+                        runs=5, vocab_size=1000, master_seed=0)
+        elapsed = time.monotonic() - start
     return {(res.vector_model, res.algorithm): res for res in grid}, \
-        results_to_csv(grid), elapsed
+        results_to_csv(grid), elapsed, fits
 
 
 # ---------------------------------------------------------------- score grid
@@ -171,7 +192,7 @@ def test_expert_agreement_percentages():
 # -------------------------------------------------------- synthetic corpus
 
 def test_golden_grid_csv_is_byte_identical(synthetic_eval):
-    _, text, _ = synthetic_eval
+    _, text, _, _ = synthetic_eval
     assert text.encode("utf-8") == GOLDEN_GRID.read_bytes()
 
 
@@ -185,7 +206,7 @@ def test_golden_grid_file_is_the_benchmark_reference():
 
 
 def test_presence_vectors_classify_synthetic_corpus_perfectly(synthetic_eval):
-    results, _, _ = synthetic_eval
+    results, _, _, _ = synthetic_eval
     for algo in ALGORITHMS:
         res = results[("bernoulli", algo)]
         for label in res.classes:
@@ -193,7 +214,7 @@ def test_presence_vectors_classify_synthetic_corpus_perfectly(synthetic_eval):
 
 
 def test_frequency_vectors_classify_synthetic_corpus_strongly(synthetic_eval):
-    results, _, _ = synthetic_eval
+    results, _, _, _ = synthetic_eval
     strong = 0
     for algo in ALGORITHMS:
         res = results[("plain_freq", algo)]
@@ -204,8 +225,24 @@ def test_frequency_vectors_classify_synthetic_corpus_strongly(synthetic_eval):
 
 
 def test_synthetic_suite_runs_inside_a_minute(synthetic_eval):
-    _, _, elapsed = synthetic_eval
+    _, _, elapsed, _ = synthetic_eval
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
+
+
+def test_golden_grid_fit_counts(synthetic_eval):
+    # What the golden grid's fits did, as the benchmark's traces count it.
+    # These hold on every BLAS kernel set; L-BFGS's counts move with it, so
+    # they are not pinned.
+    _, _, _, fits = synthetic_eval
+    adam_iterations, adam_converged = zip(*fits["adam"])
+    assert (len(fits["adam"]), sum(adam_iterations)) == (15, 3000)
+    assert not any(adam_converged)
+    smo_iterations, smo_converged = zip(*fits["smo"])
+    assert (len(fits["smo"]), sum(smo_iterations)) == (180, 4489)
+    assert all(smo_converged)
+    assert max(smo_iterations) <= 90
+    nodes, depths = zip(*fits["tree"])
+    assert (len(fits["tree"]), sum(nodes), sum(depths)) == (15, 75, 30)
 
 
 # ------------------------------------------------------------------ oracles

@@ -182,6 +182,14 @@ def test_config_validation():
         adam_minimize(lambda x: 2.0 * x, [1.0], norm2, learning_rate=0.0)
     with pytest.raises(ValueError):
         lbfgs_minimize(quadratic, [[1.0, 2.0]])  # not 1-D
+    # A NaN setting compares false both ways, so it must fail every check.
+    with pytest.raises(ValueError, match="tolerance must be >= 0"):
+        lbfgs_minimize(quadratic, [1.0], tolerance=math.nan)
+    with pytest.raises(ValueError, match="tolerance must be >= 0"):
+        adam_minimize(lambda x: 2.0 * x, [1.0], norm2, tolerance=math.nan)
+    with pytest.raises(ValueError, match="learning_rate must be > 0"):
+        adam_minimize(lambda x: 2.0 * x, [1.0], norm2,
+                      learning_rate=math.nan)
 
 
 def test_adam_zero_iterations_returns_start():

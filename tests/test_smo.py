@@ -145,6 +145,14 @@ def test_validation_errors():
         smo_solve(np.eye(2), [1.0, -1.0], c=0.0)
     with pytest.raises(ValueError):
         smo_solve(np.eye(2), [1.0, -1.0], tolerance=0.0)
+    # A NaN setting compares false both ways, so it must fail every check.
+    y = [1.0, -1.0, 1.0, -1.0]
+    with pytest.raises(ValueError, match="c must be > 0"):
+        smo_solve(np.eye(4), y, c=math.nan)
+    with pytest.raises(ValueError, match="tolerance must be > 0"):
+        smo_solve(np.eye(4), y, tolerance=math.nan)
+    with pytest.raises(ValueError, match="max_iterations must be >= 0"):
+        smo_solve(np.eye(4), y, max_iterations=-1)
 
 
 def reference_smo(K, y, c, tolerance, max_iterations):

@@ -31,6 +31,10 @@ def test_xor_resolves_through_zero_gain_split():
     assert tree.predict_codes(XOR_X).tolist() == XOR_Y.tolist()
     assert tree.n_nodes == 7
     assert tree.depth == 2
+    # Preorder: each split node's left child is the next node.
+    assert tree.feature == [0, 1, -1, -1, 1, -1, -1]
+    assert tree.right == [4, 3, -1, -1, 6, -1, -1]
+    assert tree.leaf_class == [-1, -1, 0, 1, -1, 1, 0]
 
 
 def test_trains_to_purity_on_random_data():
