@@ -165,6 +165,9 @@ def load_corpus(path: str) -> Corpus:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(lineno, f"invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:
+            # An integer literal longer than sys.get_int_max_str_digits().
+            raise ParseError(lineno, "integer literal too long") from exc
         except RecursionError as exc:
             raise ParseError(lineno, "JSON nested too deeply") from exc
         if not isinstance(record, dict):

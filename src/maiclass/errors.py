@@ -137,8 +137,8 @@ class RunFailure(MaiclassError):
 
     ``vector_model`` and ``algorithm`` name the grid cell the failure
     happened in; both are ``None`` before the run reaches a vector model
-    (its split or vocabulary), and ``algorithm`` is ``None`` while the
-    model's matrices are built.
+    (in its split, vocabulary or counts, which every model shares), and
+    ``algorithm`` is ``None`` while the counts turn into the model.
     """
 
     def __init__(self, run: int, cause: Exception,

@@ -94,42 +94,39 @@ def _score_run(run: int, corpus: Corpus, docs: InternedDocuments,
 
     The run draws its split and training seed from ``run_seeds(master_seed,
     run)`` and builds its vocabulary from its training half only, so no
-    test token information leaks into the features. The first requested
-    model in ``DERIVE_ORDER`` gets the run's one (train, test) pair of
-    :func:`build_matrix` calls, counted into ``buffers`` (one flat array per
-    half, replaced by a larger one when this run's vocabulary needs it);
-    each later model is derived from the same two arrays in place. The
+    test token information leaks into the features. Each half is counted
+    once, by one ``plain_freq`` :func:`build_matrix` call into its buffer
+    in ``buffers`` (one flat array per half, replaced by a larger one when
+    this run's vocabulary needs it), and :func:`derive_matrix` turns both
+    arrays into each requested model in turn, in ``DERIVE_ORDER``. The
     matrices and the last trained classifier exist only inside this call,
     so nothing but the buffers outlives the run. A failure is re-raised as
     :class:`RunFailure` naming the run and, when it happened in a cell, the
-    cell's vector model and algorithm.
+    cell's vector model and algorithm; the counts serve every model, so a
+    failure while counting names neither.
     """
     split_seed, train_seed = run_seeds(master_seed, run)
     scores: Dict[str, List[Dict[str, float]]] = {}
     vector_model = algorithm = None
     try:
         train_idx, test_idx = stratified_split(corpus, split_seed)
-        train_docs = docs.select(train_idx)
-        test_docs = docs.select(test_idx)
-        vocab = build_vocabulary(train_docs, vocab_size)
-        for i, half in enumerate((train_docs, test_docs)):
+        halves = (docs.select(train_idx), docs.select(test_idx))
+        vocab = build_vocabulary(halves[0], vocab_size)
+        rows = []
+        for i, half in enumerate(halves):
             if buffers[i].size < len(half) * vocab.size:
                 buffers[i] = np.empty(len(half) * vocab.size)
-        labels = [d.label for d in train_docs]
-        gold = [d.label for d in test_docs]
+            rows.append(build_matrix(half, vocab, "plain_freq",
+                                     out=buffers[i]))
+        train_rows, test_rows = rows
+        labels = [d.label for d in halves[0]]
+        gold = [d.label for d in halves[1]]
         for vector_model in DERIVE_ORDER:
             if vector_model not in vector_models:
                 continue
             algorithm = None
-            if not scores:
-                train_rows = build_matrix(train_docs, vocab, vector_model,
-                                          out=buffers[0])
-                test_rows = build_matrix(test_docs, vocab, vector_model,
-                                         out=buffers[1])
-            else:
-                derive_matrix(train_rows, train_docs, source, vector_model)
-                derive_matrix(test_rows, test_docs, source, vector_model)
-            source = vector_model
+            for half, half_rows in zip(halves, rows):
+                derive_matrix(half_rows, half.lengths, vector_model)
             cell = scores[vector_model] = []
             for spec in specs:
                 algorithm = spec.algorithm
@@ -196,9 +193,7 @@ def results_to_csv(results: Sequence[EvalResult]) -> str:
     A field is quoted only when it needs to be, e.g. a class label holding a
     comma, a quote or a line break.
     """
-    if not results:
-        return "algorithm,vector_model,class,mean_f1\n"
-    n_runs = len(results[0].runs)
+    n_runs = len(results[0].runs) if results else 0
     header = ["algorithm", "vector_model", "class"]
     header += [f"run_{i + 1}" for i in range(n_runs)]
     header.append("mean_f1")

@@ -13,9 +13,8 @@ one scatter-add. :func:`build_vocabulary` and :func:`build_matrix` intern a
 plain list of documents on entry, so both kinds of input take one path.
 
 All three models come from one counts matrix. :func:`derive_matrix` turns
-a matrix into a later model of ``DERIVE_ORDER`` in place: plain counts
-into frequencies (divided by the row's length), either of them into 0/1
-presence (a test for a value above 0).
+counts into a model in place: frequencies divide by the row's length, 0/1
+presence tests for a value above 0, on counts or on frequencies.
 """
 
 from __future__ import annotations
@@ -158,21 +157,6 @@ def _count_rows(docs: InternedDocuments, vocab: Vocabulary,
     return rows
 
 
-def _to_model(rows: np.ndarray, lengths: np.ndarray, model: str) -> None:
-    """Turn ``rows`` into ``model`` in place.
-
-    ``rows`` hold counts, or for ``bernoulli`` any non-negative rows with
-    the counts' zeros, such as frequencies.
-    """
-    if model == "norm_freq":
-        # A document without tokens has an all-zero row; dividing it by 1
-        # leaves it as it is.
-        rows /= np.maximum(lengths, 1)[:, None]
-    elif model == "bernoulli":
-        # 1.0 where a keyword occurs, else 0.0: (count > 0) as 0/1.
-        np.greater(rows, 0.0, out=rows)
-
-
 def build_matrix(docs: Sequence[Document], vocab: Vocabulary, model: str, *,
                  out: np.ndarray | None = None) -> np.ndarray:
     """The rows of every document under ``model``, in document order.
@@ -190,18 +174,21 @@ def build_matrix(docs: Sequence[Document], vocab: Vocabulary, model: str, *,
         raise ValueError("vocabulary is empty")
     docs = InternedDocuments.of(docs)
     rows = _count_rows(docs, vocab, out)
-    _to_model(rows, docs.lengths, model)
+    derive_matrix(rows, docs.lengths, model)
     return rows
 
 
-def derive_matrix(rows: np.ndarray, docs: InternedDocuments, source: str,
-                  model: str) -> None:
-    """Turn ``rows`` of ``docs`` under ``source`` into ``model``, in place.
+def derive_matrix(rows: np.ndarray, lengths: np.ndarray, model: str) -> None:
+    """Turn count ``rows`` of documents of ``lengths`` tokens into ``model``.
 
-    ``model`` must come after ``source`` in ``DERIVE_ORDER``; ``rows`` then
-    hold the bytes ``build_matrix(docs, vocab, model)`` would.
+    In place; ``norm_freq`` rows may still become ``bernoulli``. An unknown
+    model raises ``ValueError`` and leaves the rows as they are.
     """
-    if source not in DERIVE_ORDER or model not in DERIVE_ORDER or \
-            DERIVE_ORDER.index(model) <= DERIVE_ORDER.index(source):
-        raise ValueError(f"cannot derive {model!r} from {source!r}")
-    _to_model(rows, docs.lengths, model)
+    if model == "norm_freq":
+        # A document without tokens has an all-zero row; dividing it by 1
+        # leaves it as it is.
+        rows /= np.maximum(lengths, 1)[:, None]
+    elif model == "bernoulli":
+        np.greater(rows, 0.0, out=rows)
+    elif model != "plain_freq":
+        raise ValueError(f"unknown vector model {model!r}")

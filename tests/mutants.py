@@ -49,6 +49,12 @@ MUTANTS = [
       "test_build_matrix_rows_are_the_document_vectors",
       "tests/test_eval.py::"
       "test_run_grid_sizes_its_buffers_from_the_vocabulary_it_gets"]),
+    # Presence marks a zero count as present too.
+    ("features.py", "np.greater(rows, 0.0, out=rows)",
+     "np.greater_equal(rows, 0.0, out=rows)",
+     ["tests/test_features.py::test_presence_pass_gives_the_bytes_of_sign",
+      "tests/test_features.py::"
+      "test_build_matrix_rows_are_the_document_vectors"]),
     # SVM vote, three breaks of the masked pass.
     ("classifiers/svm.py", "conf = np.where(top, conf, -np.inf)",
      "conf = np.where(top, conf, 0.0)",

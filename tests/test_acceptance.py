@@ -196,6 +196,21 @@ def test_golden_grid_csv_is_byte_identical(synthetic_eval):
     assert text.encode("utf-8") == GOLDEN_GRID.read_bytes()
 
 
+@pytest.mark.parametrize("model", VECTOR_MODELS)
+def test_lone_model_grid_reproduces_the_golden_rows(synthetic_corpus, model):
+    # A run counts its halves once and derives each requested model from
+    # the counts, so a lone-model grid must give the golden file's rows of
+    # that model. The algorithms after the SVMs and MLPs keep it fast.
+    algos = ALGORITHMS[6:]
+    grid = run_grid(synthetic_corpus, [model],
+                    [ClassifierSpec(algorithm=algo) for algo in algos],
+                    runs=5, master_seed=0)
+    header, *rows = GOLDEN_GRID.read_text(encoding="utf-8").splitlines(True)
+    assert results_to_csv(grid) == header + "".join(
+        row for row in rows
+        if row.split(",")[1] == model and row.split(",")[0] in algos)
+
+
 def test_golden_grid_file_is_the_benchmark_reference():
     # The benchmark's grid-paper seed 0 corpus is this suite's synthetic
     # corpus, so its reference hash must be the golden file's.

@@ -100,6 +100,19 @@ def test_deeply_nested_corpus_line_is_parse_error(capsys, tmp_path,
     assert "line 5" in err
 
 
+@pytest.mark.skipif(not sys.get_int_max_str_digits(),
+                    reason="integer string conversion has no digit limit")
+def test_oversized_integer_corpus_line_is_parse_error(capsys, tmp_path):
+    path = tmp_path / "long.jsonl"
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    path.write_text('{"id": ' + digits + "}\n", encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ParseError: line 1: ")
+    assert "Traceback" not in err
+
+
 def test_validate_tells_a_backslash_from_a_line_break(capsys, tmp_path,
                                                       synthetic_corpus):
     # "a\nb" holds a line feed, "a\\nb" a backslash and an n: printed, a

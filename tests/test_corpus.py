@@ -197,6 +197,21 @@ def test_deeply_nested_line_is_parse_error(tmp_path, synthetic_corpus):
     assert err.value.line == 2
 
 
+@pytest.mark.skipif(not sys.get_int_max_str_digits(),
+                    reason="integer string conversion has no digit limit")
+def test_oversized_integer_line_is_parse_error(tmp_path, synthetic_corpus):
+    # json.loads refuses an integer literal past the interpreter's digit
+    # limit with a plain ValueError, which must not escape as such.
+    lines = [json.dumps(r) for r in corpus_records(synthetic_corpus)][:3]
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    lines[1] = lines[1].replace("{", '{"n": ' + digits + ", ", 1)
+    path = tmp_path / "long.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="integer literal too long") as err:
+        load_corpus(str(path))
+    assert err.value.line == 2
+
+
 @pytest.mark.parametrize("record, fragment", [
     ({"id": "x", "network": "twitter", "language": "en", "label": "l"},
      "missing field 'text'"),

@@ -198,9 +198,9 @@ def test_failures_are_wrapped_with_run_index():
 
 
 @pytest.mark.parametrize("target,calls_per_run,nth,cell", [
-    # Two build_matrix calls per run, both for the first model in
-    # DERIVE_ORDER and before any algorithm is trained.
-    ("build_matrix", 2, 2, ("plain_freq", None)),
+    # Two build_matrix calls per run, counting the halves every model
+    # shares, so the failure names no cell.
+    ("build_matrix", 2, 2, (None, None)),
     # Six train calls per run: two algorithms under each of three models.
     ("train", 6, 4, ("norm_freq", "decision_tree")),
 ])
@@ -241,6 +241,10 @@ def test_results_to_csv_layout():
     for cell in first[3:]:
         float(cell)
     assert text == results_to_csv([res])
+
+
+def test_results_to_csv_of_no_results_is_the_header_without_runs():
+    assert results_to_csv([]) == "algorithm,vector_model,class,mean_f1\n"
 
 
 def test_small_vocabulary_still_evaluates(synthetic_corpus):
@@ -298,9 +302,9 @@ def per_cell_grid():
        st.integers(1, 40))
 def test_run_grid_over_any_model_list_matches_per_cell_experiments(
         per_cell_grid, models, vocab_size):
-    # Any order or subset of the models, repeats included: the grid derives
-    # later models from earlier ones in place, a lone cell builds its model
-    # directly. Small vocabularies make tied counts decide the keywords.
+    # Any order or subset of the models, repeats included: the grid turns
+    # one pair of counts into each of its models in turn, a lone cell into
+    # its one model. Small vocabularies make tied counts decide the keywords.
     corpus, cell = per_cell_grid
     grid = run_grid(corpus, models, _CELL_SPECS, runs=2,
                     vocab_size=vocab_size, master_seed=5)
@@ -351,10 +355,10 @@ def test_run_grid_keeps_one_model_matrix_pair_alive(monkeypatch):
         pair[half] = weakref.ref(rows)
         return rows
 
-    def tracked_derive(rows, docs, source, model):
+    def tracked_derive(rows, lengths, model):
         assert any(rows is ref() for ref in pair)
         derived.append(model)
-        derive_matrix(rows, docs, source, model)
+        derive_matrix(rows, lengths, model)
 
     def tracked_train(spec, data, seed=0):
         model = train(spec, data, seed=seed)
@@ -372,8 +376,9 @@ def test_run_grid_keeps_one_model_matrix_pair_alive(monkeypatch):
     assert not np.shares_memory(buffers[0], buffers[1])
     # The pair's own train rows, while its test rows are built.
     assert alive_counts == [0, 1] * 3
-    # Each later model turns the pair's own two arrays into itself.
-    assert derived == ["norm_freq", "norm_freq", "bernoulli", "bernoulli"] * 3
+    # Each model turns the pair's own two counted arrays into itself.
+    assert derived == ["plain_freq", "plain_freq", "norm_freq", "norm_freq",
+                       "bernoulli", "bernoulli"] * 3
 
 
 def grid_fit_digests(monkeypatch):
