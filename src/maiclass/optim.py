@@ -323,8 +323,8 @@ def smo_solve(kernel, labels: Sequence[float], c: float = 1.0,
     ``converged=False`` rather than raising.
     """
     K = np.asarray(kernel, dtype=np.float64)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise DimensionMismatch("kernel matrix must be square")
+    if K.ndim != 2 or K.shape[0] != K.shape[1] or not K.size:
+        raise DimensionMismatch("kernel matrix must be square and non-empty")
     y = np.asarray(labels, dtype=np.float64)
     if y.ndim != 1 or y.shape[0] != K.shape[0]:
         raise LengthMismatch("labels length must match the kernel size")
@@ -334,22 +334,19 @@ def smo_solve(kernel, labels: Sequence[float], c: float = 1.0,
         raise ValueError("c must be > 0")
     if not tolerance > 0:
         raise ValueError("tolerance must be > 0")
-    if max_iterations < 0:
-        raise ValueError("max_iterations must be >= 0")
+    _check_budget(max_iterations, tolerance)
     n = K.shape[0]
     alpha = np.zeros(n, dtype=np.float64)
     # The scaled dual gradient -y*G, G = Q @ alpha - 1, kept up to date
     # pair by pair; Q itself is never formed, as Q[i] = y[i]*y*K[i].
     yg = y.copy()
     pos = y > 0.0
+    # Updated only at the moved pair; an empty set's +-inf mask ends the loop.
+    up, low = _index_sets(pos, alpha, c)
     converged = False
     iterations = 0
     while iterations < max_iterations:
         # Maximal-violating-pair selection on the scaled gradient -y*G.
-        up, low = _index_sets(pos, alpha, c)
-        if not up.any() or not low.any():
-            converged = True
-            break
         up_vals = np.where(up, yg, -np.inf)
         low_vals = np.where(low, yg, np.inf)
         i = int(np.argmax(up_vals))
@@ -403,6 +400,9 @@ def smo_solve(kernel, labels: Sequence[float], c: float = 1.0,
                     aj = total
         alpha[i] = ai
         alpha[j] = aj
+        for k in (i, j):
+            a = alpha[k]
+            up[k], low[k] = (a < c, a > 0.0) if pos[k] else (a > 0.0, a < c)
         yg -= ((ai - old_ai) * y[i]) * K[i]
         yg -= ((aj - old_aj) * y[j]) * K[j]
         iterations += 1

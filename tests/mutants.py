@@ -88,6 +88,14 @@ MUTANTS = [
     ("optim.py", "yg = y.copy()", "yg = -y",
      ["tests/test_smo.py::test_kkt_satisfied_on_random_problems",
       "tests/test_smo.py::test_matches_the_q_based_reference_bit_for_bit"]),
+    # SMO: I_up and I_low are kept current at the first multiplier only.
+    ("optim.py", "for k in (i, j):", "for k in (i,):",
+     ["tests/test_smo.py::test_matches_the_q_based_reference_bit_for_bit"]),
+    # SMO: the index-set rule of a positive label given to a negative one.
+    ("optim.py",
+     "(a < c, a > 0.0) if pos[k] else (a > 0.0, a < c)",
+     "(a > 0.0, a < c) if pos[k] else (a < c, a > 0.0)",
+     ["tests/test_smo.py::test_matches_the_q_based_reference_bit_for_bit"]),
     # SMO: a NaN box bound passes the check and "converges" at all zeros.
     ("optim.py", "if not c > 0:", "if c <= 0:",
      ["tests/test_smo.py::test_validation_errors"]),

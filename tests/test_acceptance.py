@@ -260,6 +260,30 @@ def test_golden_grid_fit_counts(synthetic_eval):
     assert (len(fits["tree"]), sum(nodes), sum(depths)) == (15, 75, 30)
 
 
+def test_svm_fit_counts_at_4x_scale():
+    # SMO on the grid-4x seed 0 corpus (120 documents per class): 4 kernels
+    # x 3 models x 5 runs x 3 class pairs. The SVM cells see the same rows
+    # whatever else the grid runs, and these counts hold on every BLAS
+    # kernel set.
+    fits = []
+
+    def solved(*args, **kwargs):
+        sol = smo_solve(*args, **kwargs)
+        fits.append((sol.iterations, sol.converged))
+        return sol
+
+    specs = [ClassifierSpec(algo) for algo in ALGORITHMS
+             if algo.startswith("svm_")]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(svm, "smo_solve", solved)
+        run_grid(make_synthetic_corpus(120), VECTOR_MODELS, specs, runs=5,
+                 vocab_size=1000, master_seed=0)
+    iterations, converged = zip(*fits)
+    assert (len(fits), sum(iterations)) == (180, 22146)
+    assert all(converged)
+    assert max(iterations) <= 388
+
+
 # ------------------------------------------------------------------ oracles
 
 def test_logistic_gradient_matches_central_differences():

@@ -134,6 +134,22 @@ def test_iteration_budget_returns_unconverged():
     assert sol.iterations == 1
 
 
+@pytest.mark.parametrize("labels,bias", [([1.0, 1.0, 1.0], 1.0),
+                                         ([-1.0, -1.0], -1.0)])
+def test_one_class_labels_stop_converged_at_iteration_0(labels, bias):
+    # With one class, I_low (all +1) or I_up (all -1) is empty: no pair can
+    # move, and the gap test against its all-infinite mask stops at once.
+    sol = smo_solve(np.eye(len(labels)), labels)
+    assert (sol.converged, sol.iterations) == (True, 0)
+    assert np.array_equal(sol.alphas, np.zeros(len(labels)))
+    assert sol.bias == bias
+
+
+def test_empty_kernel_is_rejected():
+    with pytest.raises(DimensionMismatch, match="non-empty"):
+        smo_solve(np.zeros((0, 0)), [])
+
+
 def test_validation_errors():
     with pytest.raises(DimensionMismatch):
         smo_solve(np.zeros((2, 3)), [1.0, -1.0])
